@@ -177,9 +177,7 @@ func (ch *Channel) nextCrossing(level float64, rising bool, after float64) (floa
 			continue
 		}
 		t0 := math.Max(seg.start, after)
-		if t, ok := firstDirectionalCrossing(func(t float64) float64 {
-			return seg.sol.At(t - seg.start).Y
-		}, level, rising, t0, end); ok {
+		if t, ok := outputCrossing(seg.sol, seg.start, level, rising, t0, end); ok {
 			return t, true
 		}
 	}

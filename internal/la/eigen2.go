@@ -17,12 +17,16 @@ type Vec2 struct {
 }
 
 // Add returns v + w.
+//
+//hybrid:alloc-ok Vec2 is two floats returned by value; the literal never reaches the heap
 func (v Vec2) Add(w Vec2) Vec2 { return Vec2{v.X + w.X, v.Y + w.Y} }
 
 // Sub returns v - w.
 func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 
 // Scale returns s*v.
+//
+//hybrid:alloc-ok Vec2 is two floats returned by value; the literal never reaches the heap
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{s * v.X, s * v.Y} }
 
 // Norm returns the Euclidean norm of v.

@@ -38,13 +38,12 @@ type Solution2 struct {
 	c1, c2 float64
 	vp     la.Vec2 // particular (steady-state) solution; zero for kindSingular
 
-	// Singular-A path keeps the full matrices for the variation-of-
-	// constants formula evaluated with the 2x2 propagator.
+	// sys is the system itself, kept for Derivative.
 	sys Linear2
-	v0  la.Vec2
 
-	// Defective path: V(t) = vp + e^{l t}[(I + N t)(V0 - vp)].
-	nil2 la.Mat2
+	// Defective path: V(t) = vp + e^{l t}(w + N w t) with w = V0 - vp,
+	// both vectors formed once in Solve.
+	w, nw la.Vec2
 }
 
 type solKind int
@@ -77,7 +76,7 @@ func (s Linear2) Solve(v0 la.Vec2) (*Solution2, error) {
 	if eig.Defective {
 		l := eig.Lambda1
 		n := s.A.AddMat(la.Mat2{A11: -l, A22: -l})
-		return &Solution2{kind: kindDefective, l1: l, vp: vp, nil2: n, v0: v0, sys: s}, nil
+		return &Solution2{kind: kindDefective, l1: l, vp: vp, w: w, nw: n.MulVec(w), sys: s}, nil
 	}
 	// Expand w in the eigenbasis: w = c1 v1 + c2 v2.
 	p := la.Mat2{A11: eig.V1.X, A12: eig.V2.X, A21: eig.V1.Y, A22: eig.V2.Y}
@@ -90,7 +89,7 @@ func (s Linear2) Solve(v0 la.Vec2) (*Solution2, error) {
 		l1:   eig.Lambda1, l2: eig.Lambda2,
 		v1: eig.V1, v2: eig.V2,
 		c1: c.X, c2: c.Y,
-		vp: vp, sys: s, v0: v0,
+		vp: vp, sys: s,
 	}, nil
 }
 
@@ -121,7 +120,7 @@ func solveSingular(s Linear2, v0 la.Vec2, eig la.Eigen2) (*Solution2, error) {
 		v1: eig.V1, v2: eig.V2,
 		c1: c0.X, c2: c0.Y,
 		vp:  la.Vec2{X: gc.X, Y: gc.Y}, // per-mode forcing coefficients
-		sys: s, v0: v0,
+		sys: s,
 	}, nil
 }
 
@@ -136,10 +135,8 @@ func (sol *Solution2) At(t float64) la.Vec2 {
 			Add(sol.v2.Scale(sol.c2 * e2))
 	case kindDefective:
 		// V(t) = vp + e^{l t} (I + N t)(v0 - vp).
-		w := sol.v0.Sub(sol.vp)
-		nw := sol.nil2.MulVec(w)
 		el := math.Exp(sol.l1 * t)
-		return sol.vp.Add(w.Add(nw.Scale(t)).Scale(el))
+		return sol.vp.Add(sol.w.Add(sol.nw.Scale(t)).Scale(el))
 	case kindSingular:
 		// Per-eigenmode: x_i(t) = c_i e^{l_i t} + g_i * phi(l_i, t), where
 		// phi(l, t) = (e^{l t} - 1)/l, extended continuously to phi(0,t)=t.
@@ -180,6 +177,164 @@ func (sol *Solution2) SlowestTimeConstant() float64 {
 		return math.Inf(1)
 	}
 	return 1 / minMag
+}
+
+// unitRoundoff is u = 2^-53, the relative rounding error of one
+// float64 operation.
+const unitRoundoff = 0x1p-53
+
+// Every Solution2 component has a derivative of the form
+//
+//	d1·e^{l1 t} + d2·e^{l2 t}    (diagonal and singular kinds)
+//	e^{l t}·(α + β t)            (defective kind)
+//
+// which changes sign at most once: a component has at most one critical
+// point and is monotone on either side of it. CriticalY and TermBoundY
+// expose that structure for the Y component in terms of the function At
+// evaluates, read in exact arithmetic over the stored coefficients (the
+// component's "exact value"), so a caller can bound the sign of At(t).Y
+// between two evaluations without evaluating the points in between.
+
+// CriticalY returns an interval [lo, hi] of local time, rounding
+// included, outside of which the exact value of the Y component is
+// monotone: on t <= lo and on t >= hi. It returns lo = hi = +Inf when
+// the component is monotone everywhere, and lo = -Inf, hi = +Inf when
+// rounding cannot place the critical point (a slope coefficient that
+// cancels to within rounding, or an overflow).
+func (sol *Solution2) CriticalY() (lo, hi float64) {
+	switch sol.kind {
+	case kindDiagonal, kindSingular:
+		var g1, g2 float64 // the singular kind's per-mode forcing
+		if sol.kind == kindSingular {
+			g1, g2 = sol.vp.X, sol.vp.Y
+		}
+		s1, r1, ok1 := slopeCoef(sol.c1, sol.l1, g1)
+		s2, r2, ok2 := slopeCoef(sol.c2, sol.l2, g2)
+		if !ok1 || !ok2 {
+			return math.Inf(-1), math.Inf(1)
+		}
+		return expPairCritical(sol.l1, sol.v1.Y, s1, r1, sol.l2, sol.v2.Y, s2, r2)
+	case kindDefective:
+		// Y' = e^{l t}(α + β t) with α = l·w.Y + N w.Y and β = l·N w.Y.
+		l, w, nw := sol.l1, sol.w.Y, sol.nw.Y
+		if l == 0 || nw == 0 {
+			return math.Inf(1), math.Inf(1) // β = 0: Y' keeps the sign of α
+		}
+		beta := l * nw
+		lw := l * w
+		alpha := lw + nw
+		errAlpha := unitRoundoff * (math.Abs(lw) + math.Abs(alpha))
+		tc := -alpha / beta
+		return aroundCritical(tc, 2*(errAlpha/math.Abs(beta)+4*unitRoundoff*math.Abs(tc)))
+	}
+	return math.Inf(-1), math.Inf(1)
+}
+
+// slopeCoef returns s = c·l + g, the slope coefficient of a mode term
+// c·e^{l t} + g·phi(l, t), with a bound rel on its relative rounding
+// error. ok is false when rounding leaves the sign of s undecided.
+func slopeCoef(c, l, g float64) (s, rel float64, ok bool) {
+	if g == 0 || c == 0 || l == 0 {
+		s = c*l + g // a single rounding at most
+		if s == 0 && c != 0 && l != 0 {
+			return 0, 0, false // underflow hid a nonzero slope
+		}
+		return s, unitRoundoff, true
+	}
+	cl := c * l
+	s = cl + g
+	errAbs := unitRoundoff * (math.Abs(cl) + math.Abs(s))
+	if !(math.Abs(s) > 8*errAbs) {
+		return 0, 0, false
+	}
+	return s, 2 * errAbs / math.Abs(s), true
+}
+
+// expPairCritical places the root of d1·e^{l1 t} + d2·e^{l2 t} with
+// d_i = y_i·s_i, where s_i carries relative error rel_i.
+func expPairCritical(l1, y1, s1, rel1, l2, y2, s2, rel2 float64) (lo, hi float64) {
+	d1, d2 := y1*s1, y2*s2
+	if math.IsNaN(d1) || math.IsNaN(d2) || math.IsInf(d1, 0) || math.IsInf(d2, 0) ||
+		(d1 == 0 && y1 != 0 && s1 != 0) || (d2 == 0 && y2 != 0 && s2 != 0) {
+		return math.Inf(-1), math.Inf(1) // overflow, or underflow hid a nonzero term
+	}
+	if d1 == 0 || d2 == 0 || l1 == l2 || (d1 > 0) == (d2 > 0) {
+		return math.Inf(1), math.Inf(1) // Y' never changes sign
+	}
+	// Order the terms so lf > ls; the root is ln(-ds/df) / (lf - ls).
+	lf, df, ls, ds := l1, d1, l2, d2
+	if l2 > l1 {
+		lf, df, ls, ds = l2, d2, l1, d1
+	}
+	rho := rel1 + rel2 + 4*unitRoundoff
+	lnr := math.Log(-ds / df)
+	dl := lf - ls
+	tc := lnr / dl
+	return aroundCritical(tc, 2*((2*rho+4*unitRoundoff*(1+math.Abs(lnr)))/dl+4*unitRoundoff*math.Abs(tc)))
+}
+
+// aroundCritical widens a computed critical point tc by its error bound
+// err, reporting an unplaceable point when either is not finite.
+func aroundCritical(tc, err float64) (lo, hi float64) {
+	if math.IsNaN(tc) || math.IsInf(tc, 0) || math.IsNaN(err) || math.IsInf(err, 0) {
+		return math.Inf(-1), math.Inf(1)
+	}
+	return tc - err, tc + err
+}
+
+// TermBoundY bounds the magnitudes of the terms At sums for the Y
+// component over local times in [ta, tb], each weighted by the error
+// its exponential's rounded argument contributes. The rounding error of
+// At(t).Y against its exact value is below 8·2^-53 times the bound for
+// every t in [ta, tb]. A NaN or infinite bound means no useful bound
+// exists (overflowing terms).
+func (sol *Solution2) TermBoundY(ta, tb float64) float64 {
+	tm := math.Max(math.Abs(ta), math.Abs(tb))
+	switch sol.kind {
+	case kindDiagonal:
+		return math.Abs(sol.vp.Y) +
+			termBound(sol.v1.Y*sol.c1, expBound(sol.l1, ta, tb)) +
+			termBound(sol.v2.Y*sol.c2, expBound(sol.l2, ta, tb))
+	case kindDefective:
+		return math.Abs(sol.vp.Y) +
+			termBound(math.Abs(sol.w.Y)+math.Abs(sol.nw.Y)*tm, expBound(sol.l1, ta, tb))
+	case kindSingular:
+		return termBound(sol.v1.Y, singularModeBound(sol.c1, sol.l1, sol.vp.X, ta, tb, tm)) +
+			termBound(sol.v2.Y, singularModeBound(sol.c2, sol.l2, sol.vp.Y, ta, tb, tm))
+	}
+	return math.NaN()
+}
+
+// singularModeBound bounds c·e^{l t} + g·phi(l, t) and the rounding of
+// phi's e^{l t} - 1 cancellation over [ta, tb].
+func singularModeBound(c, l, g, ta, tb, tm float64) float64 {
+	e := expBound(l, ta, tb)
+	phiBound := tm
+	if l != 0 {
+		phiBound = (e + 1) * (tm + 1/math.Abs(l))
+	}
+	return termBound(c, e) + termBound(g, phiBound)
+}
+
+// expBound is the maximum of e^{l t}·(1 + |l t|) over t in [ta, tb].
+// The function is monotone in t (decreasing for l < 0, increasing for
+// l > 0), so the maximum sits at one end.
+func expBound(l, ta, tb float64) float64 {
+	t := tb
+	if l < 0 {
+		t = ta
+	}
+	x := l * t
+	return math.Exp(x) * (1 + math.Abs(x))
+}
+
+// termBound is |coef|·scale, with a zero coefficient contributing
+// nothing even when scale overflows.
+func termBound(coef, scale float64) float64 {
+	if coef == 0 {
+		return 0
+	}
+	return math.Abs(coef) * scale
 }
 
 // SteadyState returns the t -> infinity limit of the solution when it
