@@ -113,6 +113,26 @@ func runServeCmd(args []string) error {
 	return o.run()
 }
 
+// HTTP connection timeouts of the serve and loadgen listeners. A
+// client gets httpReadHeaderTimeout to send its request headers and an
+// idle keep-alive connection is closed after httpIdleTimeout, so slow
+// or abandoned clients cannot pin connections forever.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps h in an http.Server with the listener timeouts.
+// WriteTimeout stays zero: an SSE event stream outlives any write
+// deadline, and job results are bounded by the job itself.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 // run serves until SIGINT/SIGTERM (or the stop test hook), then drains.
 func (o *serveOptions) run() error {
 	_, stderr := subIO(o.stdout, o.stderr)
@@ -127,7 +147,7 @@ func (o *serveOptions) run() error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "serve: listening on http://%s (POST /v1/jobs, GET /metrics)\n", ln.Addr())
@@ -208,7 +228,7 @@ func (o *loadgenOptions) run() error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: srv}
+		hs := newHTTPServer(srv)
 		go hs.Serve(ln)
 		baseURL = "http://" + ln.Addr().String()
 		fmt.Fprintf(stderr, "loadgen: in-process server on %s\n", baseURL)

@@ -172,3 +172,22 @@ func TestRunLoadgenCmdEndToEnd(t *testing.T) {
 		t.Errorf("loadgen stderr silent:\n%s", stderr.String())
 	}
 }
+
+// TestNewHTTPServerTimeouts pins the listener timeouts shared by serve
+// and loadgen: bounded header reads and idle keep-alives, and no write
+// deadline, which would cut SSE event streams short.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 120*time.Second {
+		t.Errorf("IdleTimeout = %v, want 120s", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (SSE streams outlive any write deadline)", hs.WriteTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("server has no handler")
+	}
+}

@@ -1,11 +1,13 @@
 package eval
 
 import (
-	"container/list"
+	"context"
 	"sync"
+	"sync/atomic"
 
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
+	"hybriddelay/internal/memo"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
@@ -159,83 +161,60 @@ type GoldenKey struct {
 	Seed   int64
 }
 
-// goldenEntry is one cache slot; ready is closed once out/err are set,
-// so concurrent requests for the same key wait instead of recomputing.
-// cost and elem are set when the completed entry is admitted to the
-// LRU ring; in-flight and failed entries never join it.
-type goldenEntry struct {
-	ready chan struct{}
-	out   trace.Trace
-	err   error
-	cost  int64
-	elem  *list.Element
-}
-
-// setEntry is one multi-trace cache slot (a composed circuit run
-// producing one digitized trace per recorded net); ready is closed once
-// out/err are set.
-type setEntry struct {
-	ready chan struct{}
-	out   map[string]trace.Trace
-	err   error
-	cost  int64
-	elem  *list.Element
-}
-
-// lruRef locates one completed entry from the LRU ring: its key and
-// which of the two tables (single traces vs circuit trace sets) it
-// lives in.
-type lruRef struct {
+// goldenSlot keys one entry of a GoldenCache's table: single traces
+// and circuit trace sets under the same GoldenKey are distinct entries.
+type goldenSlot struct {
 	key GoldenKey
 	set bool
+}
+
+// goldenValue is one cached result: a single trace, or a circuit trace
+// set when the slot is a set.
+type goldenValue struct {
+	tr  trace.Trace
+	set map[string]trace.Trace
 }
 
 // traceCost is the eviction cost of one digitized trace: its stored
 // transitions, plus one so even an empty trace has positive weight.
 func traceCost(tr trace.Trace) int64 { return int64(1 + len(tr.Events)) }
 
-// setCost sums the member traces of a circuit trace set.
-func setCost(set map[string]trace.Trace) int64 {
+// goldenCost weighs a cached value against the SetLimit budget: a
+// trace set sums its member traces.
+func goldenCost(v goldenValue) int64 {
+	if v.set == nil {
+		return traceCost(v.tr)
+	}
 	var c int64
 	//hybrid:nondet-ok commutative integer sum; total is independent of visit order
-	for _, tr := range set {
+	for _, tr := range v.set {
 		c += traceCost(tr)
 	}
-	if c == 0 {
-		c = 1
-	}
-	return c
+	return max(c, 1)
 }
 
-// GoldenCache memoizes digitized golden traces by GoldenKey. It is safe
-// for concurrent use and deduplicates in-flight computations
-// (singleflight): the first requester of a key computes, later ones wait
-// for its result. Failed computations are not cached. A cache may be
-// shared across runs, gates, benches and worker counts — the gate name
-// and bench parameters are part of the key.
+// GoldenCache memoizes digitized golden traces by GoldenKey on a
+// memo.Cache: singleflight per key, failed computations not cached, and
+// a waiter whose leader failed retries as (or behind) a new leader. A
+// cache may be shared across runs, gates, benches and worker counts —
+// the gate name and bench parameters are part of the key.
 //
 // Single-gate golden traces (GetOrCompute) and composed circuit trace
 // sets (GetOrComputeSet, keyed by a netlist content key in the Gate
-// field) live in separate tables of the same cache, so one cache can
-// back a whole mixed gate-and-circuit sweep.
+// field) are separate entries of the same table, so one cache can back
+// a whole mixed gate-and-circuit sweep under one budget.
 //
 // Memory can be bounded with SetLimit: completed entries then form a
 // cost-based LRU (cost = stored transitions) and the coldest entries
 // are evicted once the budget is exceeded. In-flight computations are
-// never evicted, and waiters already holding an entry keep their result
+// never evicted, and callers already holding an entry keep their result
 // even if it is evicted underneath them.
 type GoldenCache struct {
-	mu        sync.Mutex
-	table     map[GoldenKey]*goldenEntry
-	sets      map[GoldenKey]*setEntry
-	store     PersistentStore
-	limit     int64 // cost budget; 0 = unbounded
-	cost      int64 // total cost of completed entries
-	lru       *list.List
-	hits      int64
-	misses    int64
-	diskHits  int64
-	evictions int64
+	m        *memo.Cache[goldenSlot, goldenValue]
+	diskHits atomic.Int64
+
+	mu    sync.Mutex
+	store PersistentStore
 }
 
 // PersistentStore is the on-disk tier a GoldenCache can mount below its
@@ -264,7 +243,7 @@ func (c *GoldenCache) SetStore(p PersistentStore) {
 
 // NewGoldenCache returns an empty golden-trace cache.
 func NewGoldenCache() *GoldenCache {
-	return &GoldenCache{table: map[GoldenKey]*goldenEntry{}, sets: map[GoldenKey]*setEntry{}, lru: list.New()}
+	return &GoldenCache{m: memo.New[goldenSlot](goldenCost)}
 }
 
 // SetLimit bounds the cache's memory: budget is the total cost the
@@ -275,46 +254,7 @@ func NewGoldenCache() *GoldenCache {
 // immediately. An entry larger than the whole budget is admitted and
 // then evicted right away — callers still get their result, the cache
 // just refuses to retain it.
-func (c *GoldenCache) SetLimit(budget int64) {
-	c.mu.Lock()
-	c.limit = budget
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// admitLocked registers a completed entry in the LRU ring and trims
-// over-budget cold entries. Caller holds mu.
-func (c *GoldenCache) admitLocked(ref lruRef, cost int64) *list.Element {
-	elem := c.lru.PushFront(ref)
-	c.cost += cost
-	c.evictOverLocked()
-	return elem
-}
-
-// evictOverLocked drops entries from the cold end of the LRU ring until
-// the cost budget is met. Caller holds mu.
-func (c *GoldenCache) evictOverLocked() {
-	for c.limit > 0 && c.cost > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		ref := back.Value.(lruRef)
-		c.lru.Remove(back)
-		if ref.set {
-			if e, ok := c.sets[ref.key]; ok {
-				c.cost -= e.cost
-				delete(c.sets, ref.key)
-			}
-		} else {
-			if e, ok := c.table[ref.key]; ok {
-				c.cost -= e.cost
-				delete(c.table, ref.key)
-			}
-		}
-		c.evictions++
-	}
-}
+func (c *GoldenCache) SetLimit(budget int64) { c.m.SetLimit(budget) }
 
 // CacheStats reports cache effectiveness counters.
 type CacheStats struct {
@@ -328,97 +268,34 @@ type CacheStats struct {
 // Stats returns a snapshot of the cache counters. Entries counts
 // completed single-trace and circuit trace-set entries together.
 func (c *GoldenCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	//hybrid:nondet-ok commutative count of completed entries; order-independent
-	for _, e := range c.table {
-		select {
-		case <-e.ready:
-			n++
-		default:
-		}
-	}
-	//hybrid:nondet-ok commutative count of completed entries; order-independent
-	for _, e := range c.sets {
-		select {
-		case <-e.ready:
-			n++
-		default:
-		}
-	}
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Evictions: c.evictions, Entries: n}
+	st := c.m.Stats()
+	return CacheStats{Hits: st.Hits, Misses: st.Misses, DiskHits: c.diskHits.Load(), Evictions: st.Evictions, Entries: st.Entries}
 }
 
 // GetOrCompute returns the cached trace for key, or runs compute exactly
-// once per key (concurrent callers for the same key block on the first
-// caller's result). Errors are returned to all waiters but evicted, so a
-// later call retries; a waiter handed an error counts as neither hit
-// nor miss — it was not served a trace and did not compute one.
+// once among concurrent callers for the key (they block on the first
+// caller's result). Errors are not cached: the caller that computed gets
+// the error, and a concurrent waiter whose leader failed retries as (or
+// behind) a new leader, so a later call retries too.
 func (c *GoldenCache) GetOrCompute(key GoldenKey, compute func() (trace.Trace, error)) (trace.Trace, error) {
 	out, _, err := c.GetOrComputeTracked(key, compute)
 	return out, err
 }
 
 // GetOrComputeTracked is GetOrCompute with per-call attribution: hit
-// reports whether this lookup was served from a cached or in-flight
-// entry (false when it computed, and false for error outcomes). The
-// sweep engine uses it to account hit rates per scenario on a cache
-// shared across the whole grid.
+// reports whether this lookup was served without computing — from a
+// cached or in-flight entry, or from the persistent store (false when
+// it computed, and false for errors). Errors are not cached and reach
+// only the caller that computed them; a waiter whose leader failed
+// retries as (or behind) a new leader. The sweep engine uses the hit
+// flag to account hit rates per scenario on a cache shared across the
+// whole grid.
 func (c *GoldenCache) GetOrComputeTracked(key GoldenKey, compute func() (trace.Trace, error)) (trace.Trace, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.table[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err == nil {
-			c.mu.Lock()
-			c.hits++
-			if cur, ok := c.table[key]; ok && cur == e && e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-		return e.out, false, e.err
-	}
-	e := &goldenEntry{ready: make(chan struct{})}
-	c.table[key] = e
-	c.misses++
-	store := c.store
-	c.mu.Unlock()
-
-	// Read-through: a populated persistent store serves the miss without
-	// any transient solve. Store errors degrade to a computed miss.
-	if store != nil {
-		if tr, ok, err := store.Load(key); err == nil && ok {
-			e.out = tr
-			close(e.ready)
-			c.mu.Lock()
-			c.diskHits++
-			e.cost = traceCost(e.out)
-			e.elem = c.admitLocked(lruRef{key: key}, e.cost)
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-	}
-	e.out, e.err = compute()
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.table, key)
-		c.mu.Unlock()
-	} else if store != nil {
-		// Write-behind: spill the fresh trace so later processes can
-		// warm-start; failures are the store's problem, not this lookup's.
-		_ = store.Save(key, e.out)
-	}
-	close(e.ready)
-	if e.err == nil {
-		c.mu.Lock()
-		e.cost = traceCost(e.out)
-		e.elem = c.admitLocked(lruRef{key: key}, e.cost)
-		c.mu.Unlock()
-	}
-	return e.out, false, e.err
+	v, hit, err := c.lookup(goldenSlot{key: key}, func() (goldenValue, error) {
+		tr, err := compute()
+		return goldenValue{tr: tr}, err
+	})
+	return v.tr, hit, err
 }
 
 // GetOrComputeSet is the multi-trace counterpart of
@@ -426,59 +303,58 @@ func (c *GoldenCache) GetOrComputeTracked(key GoldenKey, compute func() (trace.T
 // produces the digitized traces of every recorded net, memoized
 // together under a single key (conventionally carrying the netlist
 // content key in the Gate field). Semantics mirror GetOrComputeTracked:
-// singleflight per key, errors returned to all waiters but evicted,
-// and per-call hit attribution. The returned map is shared between
-// callers and must be treated as read-only.
+// singleflight per key, errors not cached and reaching only the caller
+// that computed them (a waiter whose leader failed retries as, or
+// behind, a new leader), and per-call hit attribution. The returned map
+// is shared between callers and must be treated as read-only.
 func (c *GoldenCache) GetOrComputeSet(key GoldenKey, compute func() (map[string]trace.Trace, error)) (map[string]trace.Trace, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.sets[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err == nil {
-			c.mu.Lock()
-			c.hits++
-			if cur, ok := c.sets[key]; ok && cur == e && e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-		return e.out, false, e.err
-	}
-	e := &setEntry{ready: make(chan struct{})}
-	c.sets[key] = e
-	c.misses++
-	store := c.store
-	c.mu.Unlock()
+	v, hit, err := c.lookup(goldenSlot{key: key, set: true}, func() (goldenValue, error) {
+		set, err := compute()
+		return goldenValue{set: set}, err
+	})
+	return v.set, hit, err
+}
 
-	if store != nil {
-		if set, ok, err := store.LoadSet(key); err == nil && ok {
-			e.out = set
-			close(e.ready)
-			c.mu.Lock()
-			c.diskHits++
-			e.cost = setCost(e.out)
-			e.elem = c.admitLocked(lruRef{key: key, set: true}, e.cost)
-			c.mu.Unlock()
-			return e.out, true, nil
+// lookup runs one memoized lookup with the persistent tier inside the
+// leader's computation: read-through before computing (a populated
+// store serves the miss without any transient solve), write-behind
+// after. Store errors degrade to a computed miss or an unsaved result;
+// they never fail the lookup.
+func (c *GoldenCache) lookup(slot goldenSlot, compute func() (goldenValue, error)) (goldenValue, bool, error) {
+	fromDisk := false
+	v, hit, err := c.m.Get(context.TODO(), slot, func() (goldenValue, error) {
+		c.mu.Lock()
+		store := c.store
+		c.mu.Unlock()
+		if store != nil {
+			if v, ok := loadGolden(store, slot); ok {
+				fromDisk = true
+				c.diskHits.Add(1)
+				return v, nil
+			}
 		}
+		v, err := compute()
+		if err == nil && store != nil {
+			if slot.set {
+				_ = store.SaveSet(slot.key, v.set)
+			} else {
+				_ = store.Save(slot.key, v.tr)
+			}
+		}
+		return v, err
+	})
+	return v, hit || fromDisk, err
+}
+
+// loadGolden reads one slot from the persistent tier; errors and
+// corrupt objects are misses.
+func loadGolden(store PersistentStore, slot goldenSlot) (goldenValue, bool) {
+	if slot.set {
+		set, ok, err := store.LoadSet(slot.key)
+		return goldenValue{set: set}, ok && err == nil
 	}
-	e.out, e.err = compute()
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.sets, key)
-		c.mu.Unlock()
-	} else if store != nil {
-		_ = store.SaveSet(key, e.out)
-	}
-	close(e.ready)
-	if e.err == nil {
-		c.mu.Lock()
-		e.cost = setCost(e.out)
-		e.elem = c.admitLocked(lruRef{key: key, set: true}, e.cost)
-		c.mu.Unlock()
-	}
-	return e.out, false, e.err
+	tr, ok, err := store.Load(slot.key)
+	return goldenValue{tr: tr}, ok && err == nil
 }
 
 // CachedSource composes a GoldenCache over an inner GoldenSource. It

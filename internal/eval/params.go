@@ -1,12 +1,11 @@
 package eval
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
 
 	"hybriddelay/internal/gate"
+	"hybriddelay/internal/memo"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 )
@@ -47,23 +46,12 @@ type OperatingPoint struct {
 	Golden *BenchSource
 }
 
-// paramEntry is one cache slot; ready is closed once pt/err are set, so
-// concurrent requests for the same key wait instead of re-measuring.
-// elem is set when the completed entry joins the LRU ring; in-flight
-// and failed entries never join it.
-type paramEntry struct {
-	ready chan struct{}
-	pt    *OperatingPoint
-	err   error
-	elem  *list.Element
-}
-
-// ParamCache memoizes prepared operating points by ParamKey. It is safe
-// for concurrent use and deduplicates in-flight preparations
-// (singleflight): the first requester of a key measures and fits, later
-// ones wait for its result. Failed preparations are not cached, so a
-// later call retries. One cache may back any mix of workloads — the
-// sweep engine's operating-point preparation, circuit model sets and
+// ParamCache memoizes prepared operating points by ParamKey on a
+// memo.Cache: singleflight per key (the first requester measures and
+// fits, later ones wait for its result), failed preparations not
+// cached, and a waiter whose leader failed retries as (or behind) a
+// new leader. One cache may back any mix of workloads — the sweep
+// engine's operating-point preparation, circuit model sets and
 // single-gate evaluations all key by (gate, bench params, expDMin).
 //
 // Memory can be bounded with SetLimit: completed operating points then
@@ -73,44 +61,18 @@ type paramEntry struct {
 // preparations are never evicted, and callers already holding a point
 // keep it even if it is evicted underneath them.
 type ParamCache struct {
-	mu        sync.Mutex
-	table     map[ParamKey]*paramEntry
-	limit     int // max completed operating points; 0 = unbounded
-	lru       *list.List
-	hits      int64
-	misses    int64
-	evictions int64
+	m *memo.Cache[ParamKey, *OperatingPoint]
 }
 
 // NewParamCache returns an empty parametrization cache.
 func NewParamCache() *ParamCache {
-	return &ParamCache{table: map[ParamKey]*paramEntry{}, lru: list.New()}
+	return &ParamCache{m: memo.New[ParamKey, *OperatingPoint](nil)}
 }
 
 // SetLimit bounds the number of retained operating points; zero (or
 // negative) removes the bound. Shrinking evicts immediately, coldest
 // first.
-func (c *ParamCache) SetLimit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// evictOverLocked drops operating points from the cold end of the LRU
-// ring until the bound is met. Caller holds mu.
-func (c *ParamCache) evictOverLocked() {
-	for c.limit > 0 && c.lru.Len() > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(ParamKey)
-		c.lru.Remove(back)
-		delete(c.table, key)
-		c.evictions++
-	}
-}
+func (c *ParamCache) SetLimit(n int) { c.m.SetLimit(int64(n)) }
 
 // ParamStats reports parametrization-cache effectiveness counters.
 type ParamStats struct {
@@ -122,18 +84,7 @@ type ParamStats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *ParamCache) Stats() ParamStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	//hybrid:nondet-ok commutative count of completed entries; order-independent
-	for _, e := range c.table {
-		select {
-		case <-e.ready:
-			n++
-		default:
-		}
-	}
-	return ParamStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: n}
+	return ParamStats(c.m.Stats())
 }
 
 // SolverStats aggregates the MNA solver counters of every completed
@@ -141,87 +92,28 @@ func (c *ParamCache) Stats() ParamStats {
 // prepared each point plus every golden run its pool served since.
 // Points evicted by the memory bound leave the aggregate.
 func (c *ParamCache) SolverStats() spice.SolverStats {
-	c.mu.Lock()
-	pts := make([]*OperatingPoint, 0, len(c.table))
-	//hybrid:nondet-ok collects points for a commutative counter sum (SolverStats.Add); aggregate is order-independent
-	for _, e := range c.table {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				pts = append(pts, e.pt)
-			}
-		default:
-		}
-	}
-	c.mu.Unlock()
 	var st spice.SolverStats
-	for _, pt := range pts {
+	for _, pt := range c.m.Values() {
 		st.Add(pt.Golden.SolverStats())
 	}
 	return st
 }
 
 // OperatingPoint returns the prepared operating point for (g, p,
-// expDMin), preparing it at most once per key: concurrent callers for
-// the same key block on the first caller's result. Errors are returned
-// to all waiters but evicted, so a later call retries; ctx cancels the
-// wait (and aborts a preparation before it starts), but never evicts a
-// preparation another caller is still waiting on. A waiter whose
-// leader was cancelled (the leader's own context, not the waiter's)
-// does not inherit that cancellation: it retries the preparation under
-// its own context, so concurrent jobs on one session cannot poison
-// each other.
+// expDMin), preparing it at most once among concurrent callers for the
+// key: they block on the first caller's result. Errors are not cached,
+// so a later call retries; ctx cancels the wait (and aborts a
+// preparation before it starts), but never evicts a preparation another
+// caller is still waiting on. A waiter whose leader failed — including
+// a leader cancelled by its own context — does not inherit the failure:
+// it retries the preparation under its own context unless that is done
+// too, so concurrent jobs on one session cannot poison each other.
 func (c *ParamCache) OperatingPoint(ctx context.Context, g gate.Gate, p nor.Params, expDMin float64) (*OperatingPoint, error) {
 	key := ParamKey{Gate: g.Name(), Bench: p, ExpDMin: expDMin}
-	for {
-		c.mu.Lock()
-		if e, ok := c.table[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				if cur, ok := c.table[key]; ok && cur == e && e.elem != nil {
-					c.lru.MoveToFront(e.elem)
-				}
-				c.mu.Unlock()
-				return e.pt, nil
-			}
-			if IsContextErr(e.err) {
-				// The leader aborted because *its* context ended. The
-				// failed entry is already evicted; retry as (or behind)
-				// a new leader unless this caller is cancelled too.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return nil, e.err
-		}
-		e := &paramEntry{ready: make(chan struct{})}
-		c.table[key] = e
-		c.misses++
-		c.mu.Unlock()
-
-		e.pt, e.err = PrepareOperatingPoint(ctx, g, p, expDMin)
-		if e.err != nil {
-			c.mu.Lock()
-			delete(c.table, key)
-			c.mu.Unlock()
-		}
-		close(e.ready)
-		if e.err == nil {
-			c.mu.Lock()
-			e.elem = c.lru.PushFront(key)
-			c.evictOverLocked()
-			c.mu.Unlock()
-		}
-		return e.pt, e.err
-	}
+	pt, _, err := c.m.Get(ctx, key, func() (*OperatingPoint, error) {
+		return PrepareOperatingPoint(ctx, g, p, expDMin)
+	})
+	return pt, err
 }
 
 // PrepareOperatingPoint runs the uncached preparation chain for one

@@ -1,13 +1,13 @@
 package sparse
 
 import (
-	"container/list"
+	"context"
 	"encoding/binary"
 	"math"
 	"strings"
-	"sync"
 
 	"hybriddelay/internal/la"
+	"hybriddelay/internal/memo"
 )
 
 // This file adds the process-wide amortization layer over Analyze:
@@ -17,7 +17,9 @@ import (
 // bench clone, batched transient and serve tenant solving the same
 // topology at the same operating point shares one immutable *Symbolic
 // (documented safe for concurrent use) instead of each paying its own
-// symbolic analysis.
+// symbolic analysis. Like the other two caches it is a thin typed
+// front over internal/memo, which holds the singleflight, LRU,
+// error and generation rules; this file adds only the content key.
 
 // CacheStats reports symbolic-cache effectiveness counters.
 type CacheStats struct {
@@ -35,27 +37,13 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Entries += o.Entries
 }
 
-// symEntry is one cache slot; ready is closed once sym/err are set, so
-// concurrent requests for the same key wait instead of re-analyzing.
-// gen is the cache-unique generation assigned at entry creation —
-// strictly increasing, so any generation a caller obtained from a
-// completed lookup is older than every entry created afterwards. elem
-// is set when the completed entry joins the LRU ring; in-flight and
-// failed entries never join it.
-type symEntry struct {
-	ready chan struct{}
-	sym   *Symbolic
-	err   error
-	gen   uint64
-	elem  *list.Element
-}
-
 // SymbolicCache memoizes Analyze results by content key: the caller's
 // scope string, the system size, the (normalized) Options and the raw
 // pattern offsets. It is safe for concurrent use and deduplicates
 // in-flight analyses (singleflight): the first requester of a key runs
 // the pilot, later ones wait for its result. Failed analyses are not
-// cached, so a later call retries.
+// cached; a waiter whose leader failed retries as (or behind) a new
+// leader.
 //
 // The scope string keeps pivot orders deterministic: the pilot reads
 // the representative matrix's *values*, so two different operating
@@ -76,54 +64,24 @@ type symEntry struct {
 // In-flight analyses are never evicted, and callers already holding a
 // Symbolic keep it even if it is evicted underneath them.
 type SymbolicCache struct {
-	mu        sync.Mutex
-	table     map[string]*symEntry
-	limit     int // max completed analyses; 0 = unbounded
-	lru       *list.List
-	nextGen   uint64
-	hits      int64
-	misses    int64
-	evictions int64
+	m *memo.Cache[string, *Symbolic]
 }
 
 // NewSymbolicCache returns an empty cache bounded to limit completed
 // analyses (0 or negative = unbounded).
 func NewSymbolicCache(limit int) *SymbolicCache {
-	if limit < 0 {
-		limit = 0
-	}
-	return &SymbolicCache{table: map[string]*symEntry{}, limit: limit, lru: list.New()}
+	c := &SymbolicCache{m: memo.New[string, *Symbolic](nil)}
+	c.SetLimit(limit)
+	return c
 }
 
 // SetLimit bounds the number of retained analyses; zero (or negative)
 // removes the bound. Shrinking evicts immediately, coldest first.
-func (c *SymbolicCache) SetLimit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// evictOverLocked drops analyses from the cold end of the LRU ring
-// until the bound is met. Caller holds mu.
-func (c *SymbolicCache) evictOverLocked() {
-	for c.limit > 0 && c.lru.Len() > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		c.lru.Remove(back)
-		delete(c.table, key)
-		c.evictions++
-	}
-}
+func (c *SymbolicCache) SetLimit(n int) { c.m.SetLimit(int64(n)) }
 
 // Stats returns a snapshot of the cache counters.
 func (c *SymbolicCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.lru.Len()}
+	return CacheStats(c.m.Stats())
 }
 
 // cacheKey builds the exact content key: no hashing, so distinct
@@ -153,7 +111,7 @@ func cacheKey(scope string, n int, pattern []int32, opt Options) string {
 // block on the first caller's result. hit reports whether the analysis
 // was shared; gen identifies the returned entry for a later Refresh.
 func (c *SymbolicCache) Get(scope string, a *la.Matrix, pattern []int32, opt Options) (sym *Symbolic, gen uint64, hit bool, err error) {
-	return c.lookup(cacheKey(scope, a.Rows, pattern, opt), a, pattern, opt, 0, false)
+	return c.Refresh(scope, a, pattern, opt, 0)
 }
 
 // Refresh re-analyzes after a staleness signal (ErrPivot): the caller
@@ -161,55 +119,10 @@ func (c *SymbolicCache) Get(scope string, a *la.Matrix, pattern []int32, opt Opt
 // cache still holds that generation, this caller replaces it with a
 // fresh analysis of a's current values; if another solver already
 // refreshed the entry, the newer analysis is returned as a hit and no
-// new pilot runs.
+// new pilot runs. Generation 0 is never assigned, so Get is Refresh
+// against generation 0.
 func (c *SymbolicCache) Refresh(scope string, a *la.Matrix, pattern []int32, opt Options, oldGen uint64) (sym *Symbolic, gen uint64, hit bool, err error) {
-	return c.lookup(cacheKey(scope, a.Rows, pattern, opt), a, pattern, opt, oldGen, true)
-}
-
-func (c *SymbolicCache) lookup(key string, a *la.Matrix, pattern []int32, opt Options, oldGen uint64, refresh bool) (*Symbolic, uint64, bool, error) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.table[key]; ok && !(refresh && e.gen == oldGen) {
-			c.mu.Unlock()
-			<-e.ready
-			if e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				if cur, ok := c.table[key]; ok && cur == e && e.elem != nil {
-					c.lru.MoveToFront(e.elem)
-				}
-				c.mu.Unlock()
-				return e.sym, e.gen, true, nil
-			}
-			// The leader failed; its entry is already evicted. Retry as
-			// (or behind) a new leader.
-			continue
-		} else if ok {
-			// Stale entry this caller is refreshing: unlink it so the
-			// replacement does not duplicate its LRU slot.
-			if e.elem != nil {
-				c.lru.Remove(e.elem)
-			}
-		}
-		e := &symEntry{ready: make(chan struct{})}
-		c.nextGen++
-		e.gen = c.nextGen
-		c.table[key] = e
-		c.misses++
-		c.mu.Unlock()
-
-		e.sym, e.err = Analyze(a, pattern, opt)
-		c.mu.Lock()
-		if e.err != nil {
-			if c.table[key] == e {
-				delete(c.table, key)
-			}
-		} else if c.table[key] == e {
-			e.elem = c.lru.PushFront(key)
-			c.evictOverLocked()
-		}
-		c.mu.Unlock()
-		close(e.ready)
-		return e.sym, e.gen, false, e.err
-	}
+	return c.m.Refresh(context.TODO(), cacheKey(scope, a.Rows, pattern, opt), oldGen, func() (*Symbolic, error) {
+		return Analyze(a, pattern, opt)
+	})
 }
