@@ -8,6 +8,7 @@ package hybriddelay
 // across PRs.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -79,12 +80,15 @@ func BenchmarkEvaluateCircuitChain(b *testing.B) {
 	nl, ms, p := circuitBenchSetup(b)
 	cfg := circuitBenchConfig()
 	seeds := []int64{1, 2}
+	s := NewSession(SessionOptions{Workers: 4})
+	job := CircuitJob{Netlist: nl, Params: &p, Models: ms, Config: cfg, Seeds: seeds, NoCache: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 4})
+		out, err := s.Evaluate(context.Background(), job)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := out.Circuit
 		ev := 0
 		for _, net := range res.Nets {
 			ev += res.GoldenEv[net]
@@ -101,12 +105,14 @@ func BenchmarkEvaluateCircuitCached(b *testing.B) {
 	cfg := circuitBenchConfig()
 	seeds := []int64{1, 2}
 	cache := eval.NewGoldenCache()
-	if _, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 4, Cache: cache}); err != nil {
+	s := NewSession(SessionOptions{Workers: 4})
+	job := CircuitJob{Netlist: nl, Params: &p, Models: ms, Config: cfg, Seeds: seeds, Cache: cache}
+	if _, err := s.Evaluate(context.Background(), job); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 4, Cache: cache}); err != nil {
+		if _, err := s.Evaluate(context.Background(), job); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,10 +42,19 @@ func main() {
 	// Transitions/seeds for paper-scale runs.
 	cfg := hybriddelay.PaperConfigs()[0]
 	cfg.Transitions = 200
-	res, err := hybriddelay.Evaluate(bench, models, cfg, []int64{1, 2, 3, 4, 5})
+	// A session gate job evaluates exactly the given model set on
+	// benches built at bp; results are identical for any worker count.
+	sess := hybriddelay.NewSession(hybriddelay.SessionOptions{})
+	out, err := sess.Evaluate(context.Background(), hybriddelay.GateJob{
+		Models:  &models,
+		Params:  &bp,
+		Configs: []hybriddelay.TraceConfig{cfg},
+		Seeds:   []int64{1, 2, 3, 4, 5},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := out.Gate[0]
 
 	fmt.Printf("configuration %s, %d golden output transitions\n", cfg.Name(), res.GoldenEv)
 	fmt.Println("normalized deviation area (inertial = 1, lower is better):")

@@ -1,6 +1,7 @@
 package hybriddelay
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -171,18 +172,21 @@ func TestFacadeEvaluateSmall(t *testing.T) {
 	}
 	cfg := PaperConfigs()[0]
 	cfg.Transitions = 30
-	res, err := Evaluate(bench, models, cfg, []int64{1})
+	out, err := NewSession(SessionOptions{}).Evaluate(context.Background(), GateJob{
+		Models: &models, Params: &bp, Configs: []TraceConfig{cfg}, Seeds: []int64{1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Gate[0]
 	if res.Normalized["inertial"] != 1 {
 		t.Error("normalization broken")
 	}
 }
 
-// TestFacadeEvaluateParallel: the concurrent engine through the facade —
-// a pooled parallel run with a shared golden cache must reproduce the
-// serial result exactly.
+// TestFacadeEvaluateParallel: the unit engine through the facade — a
+// pooled parallel gate job with a shared golden cache must reproduce
+// the serial job exactly and report one progress event per unit.
 func TestFacadeEvaluateParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline in -short mode")
@@ -204,29 +208,29 @@ func TestFacadeEvaluateParallel(t *testing.T) {
 	cfg := PaperConfigs()[0]
 	cfg.Transitions = 30
 	seeds := []int64{1, 2}
-	serial, err := Evaluate(bench, models, cfg, seeds)
+	s := NewSession(SessionOptions{})
+	job := GateJob{Models: &models, Params: &bp, Configs: []TraceConfig{cfg}, Seeds: seeds, Workers: 1, NoCache: true}
+	serial, err := s.Evaluate(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var units int
-	opt := &EvalOptions{
-		Workers:  2,
-		Cache:    NewGoldenCache(),
-		Progress: func(p EvalProgress) { units = p.Completed },
-	}
-	par, err := EvaluateParallel(bench, models, cfg, seeds, opt)
+	cache := NewGoldenCache()
+	job.Workers, job.NoCache, job.Cache = 2, false, cache
+	job.Progress = func(p Progress) { units = p.Completed }
+	par, err := s.Evaluate(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if units != len(seeds) {
 		t.Errorf("progress saw %d units, want %d", units, len(seeds))
 	}
-	for name, a := range serial.Area {
-		if par.Area[name] != a {
-			t.Errorf("Area[%s]: parallel %g != serial %g", name, par.Area[name], a)
+	for name, a := range serial.Gate[0].Area {
+		if par.Gate[0].Area[name] != a {
+			t.Errorf("Area[%s]: parallel %g != serial %g", name, par.Gate[0].Area[name], a)
 		}
 	}
-	if st := opt.Cache.Stats(); st.Misses != int64(len(seeds)) || st.Entries != len(seeds) {
+	if st := cache.Stats(); st.Misses != int64(len(seeds)) || st.Entries != len(seeds) {
 		t.Errorf("cache stats %+v, want %d misses/entries", st, len(seeds))
 	}
 }
@@ -257,14 +261,16 @@ func TestFacadeSweep(t *testing.T) {
 		t.Fatalf("expanded %d scenarios, want 8", len(scenarios))
 	}
 	var steps int
-	rep, err := RunSweep(spec, &SweepOptions{
+	res, err := NewSession(SessionOptions{}).Evaluate(context.Background(), SweepJob{
+		Spec:     spec,
 		Workers:  2,
 		Cache:    NewGoldenCache(),
-		Progress: func(p SweepProgress) { steps++ },
+		Progress: func(p Progress) { steps++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Sweep
 	if len(rep.Scenarios) != 8 || rep.TotalUnits != 8 {
 		t.Fatalf("report: %d scenarios, %d units", len(rep.Scenarios), rep.TotalUnits)
 	}
@@ -307,10 +313,14 @@ func TestFacadeNetlist(t *testing.T) {
 	}
 	cfg := PaperConfigs()[0]
 	cfg.Transitions = 8
-	res, err := EvaluateCircuit(nl, p, ms, cfg, []int64{1}, &EvalOptions{Workers: 2, Cache: NewGoldenCache()})
+	out, err := NewSession(SessionOptions{}).Evaluate(context.Background(), CircuitJob{
+		Netlist: nl, Params: &p, Models: ms, Config: cfg, Seeds: []int64{1},
+		Workers: 2, Cache: NewGoldenCache(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Circuit
 	if len(res.Nets) != 2 {
 		t.Fatalf("recorded nets = %v, want [y0 y1]", res.Nets)
 	}

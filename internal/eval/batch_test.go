@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -11,21 +12,34 @@ import (
 	"hybriddelay/internal/waveform"
 )
 
+// TestBatchSize: the engine claims batches of ceil(n / (2·workers))
+// units (at least one), and within a batch takes one lease per run of
+// consecutive units sharing a source block — observed through the lease
+// count, which does not depend on scheduling.
 func TestBatchSize(t *testing.T) {
 	cases := []struct {
-		batch, total, workers, want int
+		n, workers, perSource int
+		leases                int64
 	}{
-		{1, 100, 4, 1},  // explicit sizes pass through
-		{7, 100, 4, 7},  //
-		{0, 100, 4, 13}, // auto: ~two claims per worker, rounded up
-		{0, 8, 4, 1},    // auto never exceeds one claim's worth of need
-		{0, 1, 8, 1},    // never below one
-		{0, 16, 1, 8},   // serial still batches for lease amortization
-		{3, 2, 8, 3},    // oversize explicit batches are allowed
+		{100, 4, 0, 8}, // batches of 13: ~two claims per worker
+		{8, 4, 0, 8},   // batches of 1
+		{1, 8, 0, 1},   // never below one unit
+		{16, 1, 0, 2},  // serial still batches for lease amortization
+		{12, 1, 5, 4},  // batches 0-5 and 6-11 cross blocks 0-4, 5-9, 10-11
 	}
 	for _, c := range cases {
-		if got := batchSize(c.batch, c.total, c.workers); got != c.want {
-			t.Errorf("batchSize(%d, %d, %d) = %d, want %d", c.batch, c.total, c.workers, got, c.want)
+		src := &leaseCounter{}
+		err := RunUnits(context.Background(), Units[GoldenSource]{
+			N: c.n, Workers: c.workers, PerSource: c.perSource,
+			Source: func(int) GoldenSource { return src },
+			Run:    func(context.Context, GoldenSource, int) error { return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l, r := src.leases.Load(), src.releases.Load(); l != c.leases || r != l {
+			t.Errorf("n=%d workers=%d perSource=%d: %d leases / %d releases, want %d of each",
+				c.n, c.workers, c.perSource, l, r, c.leases)
 		}
 	}
 }
@@ -97,9 +111,9 @@ func TestBenchSourceLeaseBitIdentical(t *testing.T) {
 }
 
 // TestEvaluateParallelBatchBitIdentical: the acceptance property of
-// batched claiming — every batch size (disabled, small, auto,
-// oversized) produces Area maps bit-identical to the serial reference
-// (run under -race in CI).
+// batched, leased claiming — every worker count from 1 to 4 (so batch
+// sizes from 3 down to 1) produces Area maps bit-identical to the
+// serial reference (run under -race in CI).
 func TestEvaluateParallelBatchBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
@@ -113,29 +127,30 @@ func TestEvaluateParallelBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{1, 2, 0, 9} {
-		res, err := EvaluateParallel(b, m, cfg, seeds, &Options{Workers: 4, Batch: batch})
+	for workers := 1; workers <= 4; workers++ {
+		res, err := runGate(NewBenchSource(b), m, cfg, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.GoldenEv != serial.GoldenEv {
-			t.Errorf("batch=%d: golden events %d != serial %d", batch, res.GoldenEv, serial.GoldenEv)
+			t.Errorf("workers=%d: golden events %d != serial %d", workers, res.GoldenEv, serial.GoldenEv)
 		}
 		for _, name := range ModelNames {
 			if res.Area[name] != serial.Area[name] {
-				t.Errorf("batch=%d: Area[%s] = %g != serial %g", batch, name, res.Area[name], serial.Area[name])
+				t.Errorf("workers=%d: Area[%s] = %g != serial %g", workers, name, res.Area[name], serial.Area[name])
 			}
 			if res.Normalized[name] != serial.Normalized[name] {
-				t.Errorf("batch=%d: Normalized[%s] = %g != serial %g",
-					batch, name, res.Normalized[name], serial.Normalized[name])
+				t.Errorf("workers=%d: Normalized[%s] = %g != serial %g",
+					workers, name, res.Normalized[name], serial.Normalized[name])
 			}
 		}
 	}
 }
 
-// TestEvaluateCircuitBatchBitIdentical: batched circuit evaluation over
-// the c17 benchmark netlist matches the unbatched reference exactly on
-// every recorded net.
+// TestEvaluateCircuitBatchBitIdentical: engine-run circuit evaluation
+// over the c17 benchmark netlist matches the serial
+// EvaluateCircuitSeed + merge reference exactly on every recorded net,
+// for 1 to 4 workers.
 func TestEvaluateCircuitBatchBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
@@ -151,33 +166,42 @@ func TestEvaluateCircuitBatchBitIdentical(t *testing.T) {
 	p := evalBench(t).P
 	cfg := testConfig(8)
 	cfg.Inputs = len(nl.Inputs)
-	seeds := []int64{1, 2}
+	seeds := []int64{1, 2, 3}
 
-	serial, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &Options{Workers: 1, Batch: 1})
+	bench, err := netlist.NewBench(nl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{0, 3} {
-		res, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &Options{Workers: 4, Batch: batch})
+	var parts []CircuitSeedResult
+	for _, seed := range seeds {
+		part, err := EvaluateCircuitSeed(NewCircuitBenchSource(bench), nl, ms, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	serial := MergeCircuitSeedResults(nl, cfg, parts)
+	for workers := 1; workers <= 4; workers++ {
+		res, err := evaluateCircuit(t, nl, p, ms, cfg, seeds, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, net := range serial.Nets {
 			if res.GoldenEv[net] != serial.GoldenEv[net] {
-				t.Errorf("batch=%d: golden events[%s] = %d != %d",
-					batch, net, res.GoldenEv[net], serial.GoldenEv[net])
+				t.Errorf("workers=%d: golden events[%s] = %d != %d",
+					workers, net, res.GoldenEv[net], serial.GoldenEv[net])
 			}
 			for _, model := range ModelNames {
 				if res.Area[net][model] != serial.Area[net][model] {
-					t.Errorf("batch=%d: Area[%s][%s] = %g != %g",
-						batch, net, model, res.Area[net][model], serial.Area[net][model])
+					t.Errorf("workers=%d: Area[%s][%s] = %g != %g",
+						workers, net, model, res.Area[net][model], serial.Area[net][model])
 				}
 			}
 		}
 		for _, model := range ModelNames {
 			if res.TotalNormalized[model] != serial.TotalNormalized[model] {
-				t.Errorf("batch=%d: TotalNormalized[%s] = %g != %g",
-					batch, model, res.TotalNormalized[model], serial.TotalNormalized[model])
+				t.Errorf("workers=%d: TotalNormalized[%s] = %g != %g",
+					workers, model, res.TotalNormalized[model], serial.TotalNormalized[model])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"hybriddelay/internal/gate"
+	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/trace"
@@ -31,6 +33,22 @@ func singleNOR2Netlist() *netlist.Netlist {
 			{Name: "g", Gate: "nor2", Inputs: []string{"a", "b"}, Output: "o"},
 		},
 	}
+}
+
+// evaluateCircuit runs a circuit job the way the session does: a
+// composed bench pool, optionally behind cache, on the unit engine.
+func evaluateCircuit(t *testing.T, nl *netlist.Netlist, p nor.Params, ms netlist.ModelSet,
+	cfg gen.Config, seeds []int64, workers int, cache *GoldenCache) (CircuitResult, error) {
+	t.Helper()
+	bench, err := netlist.NewBench(nl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := CircuitGoldenSource(NewCircuitBenchSource(bench))
+	if cache != nil {
+		src = CachedCircuitSource{Key: nl.ContentKey(), Bench: p, Cache: cache, Src: src}
+	}
+	return RunCircuit(context.Background(), src, nl, ms, cfg, seeds, workers, nil)
 }
 
 // chainNetlist returns the NOR + inverter-chain acceptance circuit.
@@ -62,7 +80,7 @@ func TestSingleGateCircuitBitIdentical(t *testing.T) {
 	}
 
 	nl := singleNOR2Netlist()
-	got, err := EvaluateCircuit(nl, b.P, netlist.ModelSet{"nor2": m}, cfg, seeds, nil)
+	got, err := evaluateCircuit(t, nl, b.P, netlist.ModelSet{"nor2": m}, cfg, seeds, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +119,7 @@ func TestEvaluateCircuitDeterministicAcrossWorkers(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 
 	cache := NewGoldenCache()
-	serial, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &Options{Workers: 1, Cache: cache})
+	serial, err := evaluateCircuit(t, nl, p, ms, cfg, seeds, 1, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +127,7 @@ func TestEvaluateCircuitDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("cold cache stats = %+v, want %d misses", st, len(seeds))
 	}
 	for _, workers := range []int{1, 8} {
-		res, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &Options{Workers: workers, Cache: cache})
+		res, err := evaluateCircuit(t, nl, p, ms, cfg, seeds, workers, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,12 +259,12 @@ func TestEvaluateCircuitValidation(t *testing.T) {
 	nl := singleNOR2Netlist()
 	ms := netlist.ModelSet{"nor2": cheapModels(t)}
 	p := fastNorParams()
-	if _, err := EvaluateCircuit(nl, p, ms, testConfig(8), nil, nil); err == nil {
+	if _, err := evaluateCircuit(t, nl, p, ms, testConfig(8), nil, 2, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 	badCfg := testConfig(8)
 	badCfg.Inputs = 3
-	if _, err := EvaluateCircuit(nl, p, ms, badCfg, []int64{1}, nil); err == nil ||
+	if _, err := evaluateCircuit(t, nl, p, ms, badCfg, []int64{1}, 2, nil); err == nil ||
 		!strings.Contains(err.Error(), "primary inputs") {
 		t.Errorf("input-count mismatch error = %v", err)
 	}

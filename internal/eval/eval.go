@@ -10,9 +10,10 @@
 // parametrization, golden runs), so NOR2 — the paper's gate and the
 // default — NAND2 and NOR3 all flow through the same machinery. It is
 // decomposed into independent (config, seed) units (EvaluateSeed)
-// scheduled either serially (Evaluate, EvaluateBench) or on a bounded
-// worker pool (Runner, EvaluateParallel) with deterministic merging:
-// results are bit-identical regardless of the worker count. The golden
+// scheduled either serially (Evaluate, EvaluateBench) or on the one
+// unit engine (RunUnits, with the RunGate and RunCircuit job shapes)
+// with deterministic merging: results are bit-identical regardless of
+// the worker count. The golden
 // reference is abstracted behind GoldenSource, so the analog bench can
 // be pooled per worker (BenchSource) and memoized by content key
 // (GoldenCache, CachedSource — the gate name is part of the key).
@@ -122,7 +123,7 @@ type RunResult struct {
 // EvaluateBench runs the full pipeline for one configuration over the
 // given seeds (repetitions) on any gate bench and aggregates the
 // deviation areas. It is the serial composition of the per-seed units;
-// the Runner fans the same units across a worker pool with bit-identical
+// RunGate fans the same units across a worker pool with bit-identical
 // results.
 func EvaluateBench(bench gate.Bench, m Models, cfg gen.Config, seeds []int64) (RunResult, error) {
 	if len(seeds) == 0 {

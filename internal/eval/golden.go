@@ -26,7 +26,7 @@ type GoldenRequest struct {
 }
 
 // GoldenSource produces the digitized golden output trace for a request.
-// Implementations must be safe for concurrent use; the evaluation runner
+// Implementations must be safe for concurrent use; the unit engine
 // calls Golden from multiple workers.
 type GoldenSource interface {
 	Golden(req GoldenRequest) (trace.Trace, error)
@@ -357,22 +357,43 @@ func loadGolden(store PersistentStore, slot goldenSlot) (goldenValue, bool) {
 	return goldenValue{tr: tr}, ok && err == nil
 }
 
+// LookupCounts attributes one cached source's lookups: Hits were served
+// without computing (memory, in-flight or disk), Misses computed. The
+// sweep keeps one per scenario on a cache shared by the whole grid.
+type LookupCounts struct {
+	Hits, Misses atomic.Int64
+}
+
+// add counts one successful lookup; nil counts nothing.
+func (c *LookupCounts) add(hit bool, err error) {
+	switch {
+	case c == nil || err != nil:
+	case hit:
+		c.Hits.Add(1)
+	default:
+		c.Misses.Add(1)
+	}
+}
+
 // CachedSource composes a GoldenCache over an inner GoldenSource. It
 // relies on the GoldenRequest invariant that (Config, Seed) determine
 // the inputs, which holds for requests built by the evaluation pipeline.
 type CachedSource struct {
-	Gate  string     // key component naming the gate topology
-	Bench nor.Params // key component identifying the golden reference
-	Cache *GoldenCache
-	Src   GoldenSource
+	Gate   string     // key component naming the gate topology
+	Bench  nor.Params // key component identifying the golden reference
+	Cache  *GoldenCache
+	Src    GoldenSource
+	Counts *LookupCounts // when non-nil, attributes this source's lookups
 }
 
 // Golden implements GoldenSource with memoization.
 func (s CachedSource) Golden(req GoldenRequest) (trace.Trace, error) {
 	key := GoldenKey{Gate: s.Gate, Bench: s.Bench, Config: req.Config, Seed: req.Seed}
-	return s.Cache.GetOrCompute(key, func() (trace.Trace, error) {
+	out, hit, err := s.Cache.GetOrComputeTracked(key, func() (trace.Trace, error) {
 		return s.Src.Golden(req)
 	})
+	s.Counts.add(hit, err)
+	return out, err
 }
 
 // Lease implements Leaser by leasing the inner source when it supports

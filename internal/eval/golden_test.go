@@ -77,7 +77,7 @@ func TestGoldenCacheKeyIncludesGate(t *testing.T) {
 	}
 }
 
-// TestGateRunnerDeterministicAcrossWorkers: the runner's merged areas
+// TestGateRunnerDeterministicAcrossWorkers: the engine's merged areas
 // are independent of the worker count on a synthetic golden source
 // (scheduling only; the analog path is covered by the cross-gate tests).
 func TestGateRunnerDeterministicAcrossWorkers(t *testing.T) {
@@ -85,18 +85,18 @@ func TestGateRunnerDeterministicAcrossWorkers(t *testing.T) {
 	cfg := testConfig(12)
 	seeds := []int64{1, 2, 3, 4}
 	src := &countingSource{}
-	base, err := (&Runner{golden: src, models: m, workers: 1}).Run([]gen.Config{cfg}, seeds)
+	base, err := runGate(src, m, cfg, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		res, err := (&Runner{golden: src, models: m, workers: workers}).Run([]gen.Config{cfg}, seeds)
+		res, err := runGate(src, m, cfg, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, v := range base[0].Area {
-			if res[0].Area[name] != v {
-				t.Errorf("workers=%d: Area[%s] = %g, want %g", workers, name, res[0].Area[name], v)
+		for name, v := range base.Area {
+			if res.Area[name] != v {
+				t.Errorf("workers=%d: Area[%s] = %g, want %g", workers, name, res.Area[name], v)
 			}
 		}
 	}

@@ -10,7 +10,8 @@
 //   - Failed computations are never cached. A waiter whose leader
 //     failed retries as, or behind, a new leader unless its own ctx is
 //     done — one caller's cancellation or failure never poisons
-//     another's lookup.
+//     another's lookup. A leader whose computation panics counts as
+//     failed; the panic itself continues up the leader's stack.
 //   - Completed entries form an LRU bounded by a total cost budget
 //     (SetLimit). Past the budget the coldest entries are evicted; an
 //     entry larger than the whole budget is returned to its caller and
@@ -24,6 +25,7 @@ package memo
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -176,7 +178,22 @@ func (c *Cache[K, V]) Refresh(ctx context.Context, key K, stale uint64, compute 
 		c.misses++
 		c.mu.Unlock()
 
-		v, err := compute()
+		v, err := c.lead(e, compute)
+		return v, e.gen, false, err
+	}
+}
+
+// errLeaderPanicked is the error a leader's entry settles with when its
+// compute panics.
+var errLeaderPanicked = errors.New("memo: leader computation panicked")
+
+// lead runs compute as the leader of entry e and settles it. A
+// panicking compute settles e as failed — deleted, ready closed — so its
+// waiters follow the failed-leader rule instead of waiting forever, and
+// the panic continues up the leader's stack.
+func (c *Cache[K, V]) lead(e *entry[K, V], compute func() (V, error)) (v V, err error) {
+	err = errLeaderPanicked
+	defer func() {
 		var cost int64
 		if err == nil {
 			cost = c.cost(v)
@@ -184,7 +201,7 @@ func (c *Cache[K, V]) Refresh(ctx context.Context, key K, stale uint64, compute 
 		c.mu.Lock()
 		e.val, e.err, e.cost = v, err, cost
 		if err != nil {
-			delete(c.table, key)
+			delete(c.table, e.key)
 		} else {
 			e.elem = c.lru.PushFront(e)
 			c.total += e.cost
@@ -192,6 +209,6 @@ func (c *Cache[K, V]) Refresh(ctx context.Context, key K, stale uint64, compute 
 		}
 		c.mu.Unlock()
 		close(e.ready)
-		return v, e.gen, false, err
-	}
+	}()
+	return compute()
 }

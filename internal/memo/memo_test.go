@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // waitProbe is a context that reports when a caller first asks for its
@@ -239,6 +240,71 @@ func TestConcurrentWaiterOfFailedLeaderRecomputes(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("stats %+v, want 2 misses (leader + retry) / 1 entry", st)
+	}
+}
+
+// TestPanickingLeaderSettles: a leader whose compute panics re-panics
+// on its own stack, but its entry settles as failed, so a later Get of
+// the same key recomputes instead of waiting on a dead entry.
+func TestPanickingLeaderSettles(t *testing.T) {
+	c := New[string, int](nil)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("leader recovered %v, want its own panic", r)
+			}
+		}()
+		c.Get(context.Background(), "k", func() (int, error) { panic("boom") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	v, hit, err := c.Get(ctx, "k", func() (int, error) { return 7, nil })
+	if err != nil || hit || v != 7 {
+		t.Fatalf("Get after a panicking leader = (%d, %v, %v), want a fresh computation", v, hit, err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 2 misses / 1 entry", st)
+	}
+}
+
+// TestPanickingLeaderWaiterRecomputes: a waiter blocked on a leader
+// whose compute panics follows the failed-leader rule and recomputes.
+func TestPanickingLeaderWaiterRecomputes(t *testing.T) {
+	c := New[string, int](nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Get(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	probe := newWaitProbe(context.Background())
+	type result struct {
+		v   int
+		hit bool
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		v, hit, err := c.Get(probe, "k", func() (int, error) { return 5, nil })
+		res <- result{v, hit, err}
+	}()
+	<-probe.waiting
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", r)
+	}
+	select {
+	case r := <-res:
+		if r.err != nil || r.hit || r.v != 5 {
+			t.Fatalf("waiter = %+v, want it to recompute and succeed", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter of a panicking leader hangs")
 	}
 }
 

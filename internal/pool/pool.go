@@ -1,12 +1,14 @@
-// Package pool provides the bounded work-claiming loop shared by the
-// evaluation runner, the sweep engine and the session engine: a fixed
-// set of indexed units fanned across a capped number of goroutines,
-// with early stop on the first error or context cancellation and
-// serialized completion callbacks.
+// Package pool provides the bounded work-claiming loop under the
+// evaluation unit engine and the sweep's preparation phase: a fixed set
+// of indexed units fanned across a capped number of goroutines, with
+// early stop on the first error or context cancellation, serialized
+// completion callbacks and per-unit panic containment.
 package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -27,6 +29,10 @@ func Run(total, workers int, fn func(i int) error, onDone func(i, completed int,
 // stays consistent) and ctx.Err() is returned. A nil error means every
 // unit was claimed; individual unit errors are reported through fn's
 // return value and onDone, exactly as in Run.
+//
+// A panicking fn(i) does not take the process down: it becomes unit
+// i's error ("pool: unit i panicked: ..." plus the goroutine stack),
+// which stops new claims like any other unit error.
 func RunContext(ctx context.Context, total, workers int, fn func(i int) error, onDone func(i, completed int, err error)) error {
 	if total <= 0 {
 		return ctx.Err()
@@ -61,7 +67,7 @@ func RunContext(ctx context.Context, total, workers int, fn func(i int) error, o
 				if i >= total || stop.Load() {
 					return
 				}
-				err := fn(i)
+				err := call(fn, i)
 				if err != nil {
 					stop.Store(true)
 				}
@@ -76,4 +82,14 @@ func RunContext(ctx context.Context, total, workers int, fn func(i int) error, o
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// call runs fn(i), recovering a panic into the unit's error.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pool: unit %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	return fn(i)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -106,5 +107,40 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if ran.Load() != 7 {
 		t.Errorf("%d units ran, want 7", ran.Load())
+	}
+}
+
+// TestRunPanicBecomesUnitError: a panicking unit is recovered into its
+// own error, carrying the panic value and the goroutine stack, and
+// stops new claims like any other unit error.
+func TestRunPanicBecomesUnitError(t *testing.T) {
+	var ran atomic.Int64
+	var got error
+	err := RunContext(context.Background(), 1000, 1, func(i int) error {
+		ran.Add(1)
+		if i == 2 {
+			panic("unit two exploded")
+		}
+		return nil
+	}, func(i, completed int, err error) {
+		if err != nil {
+			if i != 2 {
+				t.Errorf("error reported for unit %d, want 2", i)
+			}
+			got = err
+		}
+	})
+	if err != nil {
+		t.Fatalf("RunContext returned %v, want nil (unit errors go through onDone)", err)
+	}
+	if got == nil {
+		t.Fatal("panic never surfaced through onDone")
+	}
+	msg := got.Error()
+	if !strings.Contains(msg, "pool: unit 2 panicked: unit two exploded") || !strings.Contains(msg, "goroutine") {
+		t.Errorf("panic error %q lacks the unit, the value or the stack", msg)
+	}
+	if ran.Load() != 3 {
+		t.Errorf("%d units ran after a serial panic at index 2, want 3", ran.Load())
 	}
 }

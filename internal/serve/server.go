@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -119,10 +120,19 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSON answers a 200 JSON body.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers v as a JSON body with the given status. The value
+// is marshalled before any header goes out, so a value JSON cannot
+// encode (a NaN ratio) answers 500 with an error body instead of the
+// status with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		jsonError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
 }
 
 // handleSubmit validates the spec, registers the job and offers it to
@@ -174,7 +184,7 @@ func (s *Server) startJob(j *Job) {
 	go func() {
 		defer s.wg.Done()
 		defer s.adm.Release(j.Client)
-		res, err := s.sess.Evaluate(j.ctx, j.withProgress())
+		res, err := s.evaluate(j)
 		switch {
 		case err == nil:
 			// The wire form drops the prepared model set: its Gate field
@@ -191,6 +201,19 @@ func (s *Server) startJob(j *Job) {
 	}()
 }
 
+// evaluate runs j on the session. A panic outside the unit engine's
+// own containment (e.g. in operating-point preparation) is recovered
+// into the job's error, carrying the panic value and the stack, so one
+// job cannot take the server and every tenant's jobs down with it.
+func (s *Server) evaluate(j *Job) (res *session.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: job %s panicked: %v\n%s", j.ID, r, debug.Stack())
+		}
+	}()
+	return s.sess.Evaluate(j.ctx, j.withProgress())
+}
+
 // handleStatus answers the job's current status (result once done).
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.reg.Get(r.PathValue("id"))
@@ -198,7 +221,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, j.Status())
+	writeJSON(w, http.StatusOK, j.Status())
 }
 
 // handleCancel cancels a queued or running job. Cancelling a queued
@@ -221,8 +244,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusConflict, "job already %s", j.State())
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j.Status())
+	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
 // handleEvents streams the job's event log over SSE: buffered events
@@ -303,7 +325,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.MetricsSnapshot())
+	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 // Shutdown drains the server: new submissions are refused (503),

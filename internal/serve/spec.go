@@ -53,7 +53,8 @@ type JobSpec struct {
 
 	// Seeds lists explicit repetition seeds for gate and circuit jobs;
 	// when empty, SeedCount consecutive seeds from BaseSeed are used
-	// (defaults: 1 seed from base 1), matching the sweep semantics.
+	// (defaults: 1 seed from base 1; at most sweep.MaxSeedCount),
+	// matching the sweep semantics.
 	Seeds     []int64 `json:"seeds,omitempty"`
 	SeedCount int     `json:"seed_count,omitempty"`
 	BaseSeed  int64   `json:"base_seed,omitempty"`
@@ -120,6 +121,9 @@ func (js *JobSpec) configs(inputs int) ([]gen.Config, error) {
 // server submits. The returned job carries no Progress callback; the
 // server attaches its own event publisher.
 func (js *JobSpec) Job() (session.Job, error) {
+	if js.SeedCount > sweep.MaxSeedCount {
+		return nil, fmt.Errorf("serve: seed_count %d exceeds %d", js.SeedCount, sweep.MaxSeedCount)
+	}
 	switch js.Kind {
 	case session.KindGate:
 		if js.Circuit != "" || js.Netlist != nil || js.Sweep != nil {

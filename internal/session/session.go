@@ -1,10 +1,8 @@
-// Package session unifies the evaluation entry points of the accuracy
-// study behind one long-lived, concurrency-safe engine. The paper's
-// pipeline is a single flow — golden simulation, model parametrization,
-// trace comparison — but PRs 1–4 grew one entry-point family per
-// workload (gate evaluation, circuit evaluation, scenario sweeps), each
-// threading its own worker count, golden cache and freshly re-fitted
-// models. A Session owns those resources once:
+// Package session is the evaluation engine of the accuracy study: one
+// long-lived, concurrency-safe value behind every entry point. The
+// paper's pipeline is a single flow — golden simulation, model
+// parametrization, trace comparison — and a Session owns its resources
+// once:
 //
 //   - the bounded worker budget every workload schedules on,
 //   - the shared golden-trace cache (eval.GoldenCache), and
@@ -16,14 +14,15 @@
 // are values submitted through one door — Session.Evaluate(ctx, job)
 // with a GateJob, CircuitJob or SweepJob — returning a uniform Result
 // (per-config / per-net / per-scenario rows plus cache and timing
-// stats) and reporting through a single Progress stream. Cancellation
-// via the context is plumbed down to the unit workers: a cancelled job
-// stops claiming units and aborts in-flight units at their next stage
-// boundary.
+// stats) and reporting through a single Progress stream.
 //
-// The legacy facade entry points (EvaluateParallel, EvaluateGate,
-// EvaluateCircuit, RunSweep) remain supported as thin wrappers over a
-// process-wide default Session, with bit-identical results.
+// Every flavour's (configuration or scenario, seed) units run on the
+// one unit engine, eval.RunUnits: batched claims, one leased bench per
+// run of units sharing a source, index-addressed results merged in a
+// fixed order (bit-identical for any worker count), the earliest-index
+// unit error, and per-unit panic containment. Cancellation via the
+// context is plumbed down to the units: a cancelled job stops claiming
+// units and aborts in-flight units at their next stage boundary.
 package session
 
 import (
@@ -234,8 +233,8 @@ type Job interface {
 // default gate, the calibrated bench parameters, DefaultExpDMin, the
 // session's worker budget. When Models (and optionally Bench) are set
 // the job skips the parametrization cache and evaluates exactly the
-// given model set — this is how the legacy entry points, which receive
-// pre-built models, submit their work.
+// given model set — the form for callers that build or fit models
+// themselves.
 type GateJob struct {
 	// Gate is the registry name ("nor2", "nand2", "nor3"); empty
 	// selects the default gate. Ignored when Models is set.
@@ -316,10 +315,9 @@ func (CircuitJob) kind() Kind { return KindCircuit }
 type SweepJob struct {
 	// Spec is the scenario grid. Required.
 	Spec sweep.Spec
-	// Cache overrides the session's golden cache for this job (the
-	// legacy RunSweep wrapper uses a private cache per call so its
-	// report's cache statistics stay those of one run). Nil shares the
-	// session cache.
+	// Cache overrides the session's golden cache for this job (a
+	// private cache per job keeps the report's cache statistics those of
+	// one run). Nil shares the session cache.
 	Cache *eval.GoldenCache
 	// Workers overrides the session's worker budget for this job.
 	Workers int
@@ -467,16 +465,17 @@ func (s *Session) paramsOr(p *nor.Params) nor.Params {
 	return d
 }
 
-// gateProgress adapts the eval runner's progress events onto the
-// session stream.
-func gateProgress(kind Kind, fn func(Progress)) func(eval.Progress) {
+// unitProgress adapts the unit engine's completion callback onto the
+// session stream; unit maps a unit index to its configuration and seed.
+func unitProgress(kind Kind, fn func(Progress), total int, unit func(i int) (gen.Config, int64)) func(i, completed int, err error) {
 	if fn == nil {
 		return nil
 	}
-	return func(p eval.Progress) {
+	return func(i, completed int, err error) {
+		cfg, seed := unit(i)
 		fn(Progress{
-			Kind: kind, Phase: PhaseEval, Config: p.Config, Scenario: -1,
-			Seed: p.Seed, Completed: p.Completed, Total: p.Total, Err: p.Err,
+			Kind: kind, Phase: PhaseEval, Config: cfg, Scenario: -1,
+			Seed: seed, Completed: completed, Total: total, Err: err,
 		})
 	}
 }
@@ -534,11 +533,10 @@ func (s *Session) evaluateGate(ctx context.Context, j GateJob) (*Result, error) 
 	if cache != nil {
 		src = eval.CachedSource{Gate: models.Gate.Name(), Bench: params, Cache: cache, Src: src}
 	}
-	runner := eval.NewSourceRunner(src, models, &eval.Options{
-		Workers:  s.workersFor(j.Workers),
-		Progress: gateProgress(KindGate, j.Progress),
+	progress := unitProgress(KindGate, j.Progress, len(j.Configs)*len(j.Seeds), func(i int) (gen.Config, int64) {
+		return j.Configs[i/len(j.Seeds)], j.Seeds[i%len(j.Seeds)]
 	})
-	rows, err := runner.RunContext(ctx, j.Configs, j.Seeds)
+	rows, err := eval.RunGate(ctx, src, models, j.Configs, j.Seeds, s.workersFor(j.Workers), progress)
 	if err != nil {
 		return nil, err
 	}
@@ -595,15 +593,24 @@ func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, e
 			return nil, err
 		}
 	}
-	cache := s.goldenFor(j.Cache, j.NoCache)
-	res, err := eval.EvaluateCircuitContext(ctx, j.Netlist, p, ms, j.Config, j.Seeds, &eval.Options{
-		Workers:  s.workersFor(j.Workers),
-		Cache:    cache, // nil (NoCache) evaluates uncached
-		Progress: gateProgress(KindCircuit, j.Progress),
-	})
+	bench, err := netlist.NewBench(j.Netlist, p)
 	if err != nil {
 		return nil, err
 	}
+	benches := eval.NewCircuitBenchSource(bench)
+	src := eval.CircuitGoldenSource(benches)
+	cache := s.goldenFor(j.Cache, j.NoCache)
+	if cache != nil {
+		src = eval.CachedCircuitSource{Key: j.Netlist.ContentKey(), Bench: p, Cache: cache, Src: src}
+	}
+	progress := unitProgress(KindCircuit, j.Progress, len(j.Seeds), func(i int) (gen.Config, int64) {
+		return j.Config, j.Seeds[i]
+	})
+	res, err := eval.RunCircuit(ctx, src, j.Netlist, ms, j.Config, j.Seeds, s.workersFor(j.Workers), progress)
+	if err != nil {
+		return nil, err
+	}
+	res.Solver = benches.SolverStats()
 	out := &Result{Kind: KindCircuit, Circuit: &res}
 	if cache != nil {
 		out.Stats.Golden = cache.Stats()

@@ -150,10 +150,22 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 2})
+	// The serial reference: every seed on one composed bench, merged in
+	// seed order, with that bench's solver counters.
+	bench, err := netlist.NewBench(nl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var parts []eval.CircuitSeedResult
+	for _, seed := range seeds {
+		part, err := eval.EvaluateCircuitSeed(eval.NewCircuitBenchSource(bench), nl, ms, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	want := eval.MergeCircuitSeedResults(nl, cfg, parts)
+	want.Solver = bench.SolverStats()
 
 	s := New(Options{Workers: 2})
 	res, err := s.Evaluate(context.Background(), CircuitJob{
@@ -166,7 +178,7 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 		t.Fatalf("result shape: kind=%s circuit=%v", res.Kind, res.Circuit)
 	}
 	if !reflect.DeepEqual(*res.Circuit, want) {
-		t.Errorf("session circuit result differs from legacy:\n got %+v\nwant %+v", *res.Circuit, want)
+		t.Errorf("session circuit result differs from the serial reference:\n got %+v\nwant %+v", *res.Circuit, want)
 	}
 }
 

@@ -13,18 +13,6 @@ type NewtonOptions struct {
 	RelTol  float64 // relative tolerance; default 1e-6
 	MaxIter int     // default 100
 	Damping float64 // max Newton update per iteration [V]; default 0.5
-
-	// ModifiedNewton reuses the most recent LU factorization across
-	// Newton iterations and transient steps, solving the residual form
-	// J_stale·Δ = RHS - G·v and refactoring only when the iteration
-	// stops contracting. The converged solution agrees with full Newton
-	// within tolerance but is NOT bit-identical, so this is opt-in and
-	// never used on the golden path.
-	ModifiedNewton bool
-	// StallRatio is the per-iteration contraction a stale-Jacobian
-	// update must achieve (maxDelta <= StallRatio * previous maxDelta)
-	// before the solver refactors; default 0.5.
-	StallRatio float64
 }
 
 func (o *NewtonOptions) defaults() {
@@ -39,9 +27,6 @@ func (o *NewtonOptions) defaults() {
 	}
 	if o.Damping <= 0 {
 		o.Damping = 0.5
-	}
-	if o.StallRatio <= 0 {
-		o.StallRatio = 0.5
 	}
 }
 

@@ -28,13 +28,11 @@ type Solver struct {
 	ctx StampContext
 
 	xNew    []float64 // next Newton iterate
-	rtmp    []float64 // residual buffer for modified-Newton solves
 	v       []float64 // transient solution vector
 	vPrev   []float64 // last accepted transient solution
 	srcVals []float64 // hoisted per-solve source values, by branch
 
-	lu     la.LU
-	haveLU bool // lu factors a recent Jacobian (modified Newton only)
+	lu la.LU
 
 	mode SolverMode  // linear-solver strategy of the current transient
 	sp   sparseState // SparseFast workspace (pattern, base, symbolic)
@@ -57,7 +55,7 @@ type SolverStats struct {
 	Rejected       int64 // rejected (re-tried) transient steps
 	Iterations     int64 // Newton iterations
 	Factorizations int64 // LU factorizations (dense and sparse)
-	Reused         int64 // iterations solved on a reused (stale) LU
+	Reused         int64 // always 0: every iteration factors its fresh Jacobian (kept for report compatibility)
 
 	// SparseFast-mode counters (zero on the dense golden path).
 	LinearReuses         int64 // iterations that reused the frozen linear stamp base
@@ -124,9 +122,6 @@ func (s *Solver) ensure() {
 	if len(s.xNew) != n {
 		s.xNew = make([]float64, n)
 	}
-	if len(s.rtmp) != n {
-		s.rtmp = make([]float64, n)
-	}
 	if len(s.v) != n {
 		s.v = make([]float64, n)
 	}
@@ -138,20 +133,6 @@ func (s *Solver) ensure() {
 	}
 }
 
-// residual computes r = rhs - G·v, the KCL residual of the companion
-// system at the current iterate.
-func residual(r []float64, g *la.Matrix, v, rhs []float64) {
-	n := g.Rows
-	for i := 0; i < n; i++ {
-		row := g.Data[i*n : i*n+n]
-		sum := 0.0
-		for j, gij := range row {
-			sum += gij * v[j]
-		}
-		r[i] = rhs[i] - sum
-	}
-}
-
 // newton iterates the MNA system at the solver's current context until
 // the update norm is below tolerance. v is the starting iterate and
 // holds the solution on success. gmin, when positive, adds a shunt
@@ -160,14 +141,8 @@ func residual(r []float64, g *la.Matrix, v, rhs []float64) {
 // historical gmin solver, so stage behaviour is bit-identical to the
 // per-call reference.
 //
-// The default path factors the fresh Jacobian every iteration and
-// solves G·x = RHS directly — exactly the reference iteration. With
-// opt.ModifiedNewton set, the solver instead reuses the most recent LU
-// (possibly from a previous step) on the residual form
-// J_stale·Δ = RHS - G·v and refactors only when the iteration stalls;
-// the converged solution then agrees within tolerance but is NOT
-// bit-identical, so modified Newton is opt-in and off on the golden
-// path.
+// Every iteration factors the fresh Jacobian and solves G·x = RHS
+// directly — exactly the reference iteration.
 //
 // This loop is allocation-free in the steady state, enforced twice:
 // statically by hybridlint's noalloc analyzer (this annotation), and
@@ -180,7 +155,7 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	// operating points and gmin homotopy stages have a different
 	// structural pattern (capacitors open, added shunt diagonals) and
 	// run once per transient, so they stay on the robust dense path.
-	if s.mode == SparseFast && gmin == 0 && !gminStage && !s.ctx.DC && !opt.ModifiedNewton {
+	if s.mode == SparseFast && gmin == 0 && !gminStage && !s.ctx.DC {
 		return s.newtonSparse(v, opt)
 	}
 	// This dense solve factors ctx.G in place, leaving LU residue at
@@ -194,7 +169,6 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	n := c.unknowns()
 	nv := c.NumNodes() - 1
 	ctx := &s.ctx
-	modified := opt.ModifiedNewton && !gminStage
 	// Hoist the source evaluation: every iteration of this solve stamps
 	// at the same ctx.Time.
 	for i, vs := range c.vsources {
@@ -202,7 +176,6 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	}
 	ctx.srcVals = s.srcVals
 	xNew := s.xNew
-	prevDelta := math.Inf(1)
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		ctx.capFresh = iter == 0
 		ctx.G.Zero()
@@ -219,56 +192,18 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 				ctx.G.Add(i, i, gmin)
 			}
 		}
-		reused := false
-		if modified && s.haveLU {
-			residual(s.rtmp, ctx.G, v, rhs)
-			if s.lu.SolveInto(xNew, s.rtmp) == nil {
-				reused = true
-				s.stats.Reused++
-				for i := 0; i < n; i++ {
-					xNew[i] += v[i]
-				}
-			} else {
-				s.haveLU = false
+		// Fused factor+solve on the Jacobian in place — G is re-stamped
+		// from zero next iteration anyway, and carrying the RHS through
+		// the elimination folds the permute and forward substitution
+		// into the factorization sweep (bit-identical, see
+		// la.FactorSolveInPlace).
+		if err := s.lu.FactorSolveInPlace(ctx.G, xNew, rhs); err != nil {
+			if gminStage {
+				return err
 			}
+			return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
 		}
-		if !reused {
-			// Default path: fused factor+solve on the Jacobian in place —
-			// G is re-stamped from zero next iteration anyway, and carrying
-			// the RHS through the elimination folds the permute and forward
-			// substitution into the factorization sweep (bit-identical, see
-			// la.FactorSolveInPlace). Modified Newton must keep its LU alive
-			// across re-stamps (and steps), so it pays for the copying
-			// FactorInto plus a separate solve.
-			if modified {
-				if err := s.lu.FactorInto(ctx.G); err != nil {
-					s.haveLU = false
-					if gminStage {
-						return err
-					}
-					return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
-				}
-				s.stats.Factorizations++
-				s.haveLU = true
-				if err := s.lu.SolveInto(xNew, rhs); err != nil {
-					s.haveLU = false
-					if gminStage {
-						return err
-					}
-					return fmt.Errorf("spice: solve failed at t=%g: %w", ctx.Time, err)
-				}
-			} else {
-				if err := s.lu.FactorSolveInPlace(ctx.G, xNew, rhs); err != nil {
-					s.haveLU = false
-					if gminStage {
-						return err
-					}
-					return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
-				}
-				s.stats.Factorizations++
-				s.haveLU = false
-			}
-		}
+		s.stats.Factorizations++
 		s.stats.Iterations++
 		// Damped update with convergence check on node voltages. The
 		// infinity norm of the updated voltages is accumulated in the same
@@ -295,12 +230,6 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 				}
 			}
 		}
-		if reused && !(maxDelta <= opt.StallRatio*prevDelta) {
-			// The stale-Jacobian update stopped contracting: refactor on
-			// the next iteration.
-			s.haveLU = false
-		}
-		prevDelta = maxDelta
 		if maxDelta <= opt.AbsTol+opt.RelTol*maxV {
 			return nil
 		}
@@ -322,7 +251,6 @@ var gminStages = [...]float64{1e-3, 1e-6, 1e-9, 1e-12}
 // branch currents.
 func (s *Solver) OperatingPoint(t float64, opt NewtonOptions) ([]float64, error) {
 	s.ensure()
-	s.haveLU = false // a stale transient Jacobian is useless at DC
 	v := make([]float64, s.c.unknowns())
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = t, 0, Trapezoidal, true
 	if err := s.newton(v, opt, 0, false); err == nil {
@@ -420,7 +348,6 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 
 	// Initial state.
 	s.ensure()
-	s.haveLU = false
 	v := s.v
 	if opt.InitialConditions != nil {
 		for i := range v {

@@ -247,7 +247,6 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 	n := c.unknowns()
 	nv := c.NumNodes() - 1
 	ctx := &s.ctx
-	s.haveLU = false // any dense LU is invalidated by the solves below
 	// Hoist the source evaluation: every iteration of this solve stamps
 	// at the same ctx.Time.
 	for i, vs := range c.vsources {

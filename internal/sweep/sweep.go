@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +35,6 @@ import (
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/pool"
-	"hybriddelay/internal/trace"
 	"hybriddelay/internal/waveform"
 )
 
@@ -75,7 +73,7 @@ type Spec struct {
 	// same VDD/load/stimulus axes (the stimulus drives the circuit's
 	// primary inputs), is scored through the composed analog golden,
 	// and reports the deviation areas summed over its recorded nets
-	// (per-net detail is available through eval.EvaluateCircuit). Every
+	// (per-net detail is available through a session CircuitJob). Every
 	// circuit needs a unique name; its report rows appear under
 	// "circuit:<name>".
 	Circuits []netlist.Netlist `json:"circuits,omitempty"`
@@ -95,7 +93,7 @@ type Spec struct {
 
 	// Seeds is the explicit seed list evaluated per scenario. When
 	// empty, SeedCount consecutive seeds starting at BaseSeed are used
-	// (defaults: 1 seed from base 1).
+	// (defaults: 1 seed from base 1; SeedCount at most MaxSeedCount).
 	Seeds     []int64 `json:"seeds,omitempty"`
 	SeedCount int     `json:"seed_count,omitempty"`
 	BaseSeed  int64   `json:"base_seed,omitempty"`
@@ -107,6 +105,12 @@ type Spec struct {
 	// applied to; nil selects nor.DefaultParams().
 	Bench *nor.Params `json:"-"`
 }
+
+// MaxSeedCount bounds a generated seed list (Spec.SeedCount, and a
+// served job's seed_count). The list is allocated before any unit
+// runs, so an unbounded count from an untrusted grid would exhaust
+// memory before the job could fail.
+const MaxSeedCount = 1 << 16
 
 // Scenario is one expanded grid point: a gate — or a whole circuit —
 // at one operating point under one stimulus configuration.
@@ -264,6 +268,9 @@ func Expand(spec Spec) ([]Scenario, error) {
 		}
 		seenStim[st] = true
 	}
+	if spec.SeedCount > MaxSeedCount {
+		return nil, fmt.Errorf("sweep: seed_count %d exceeds %d", spec.SeedCount, MaxSeedCount)
+	}
 	seenSeed := map[int64]bool{}
 	for _, s := range spec.SeedList() {
 		if seenSeed[s] {
@@ -412,91 +419,6 @@ func memberGates(nl *netlist.Netlist) ([]string, error) {
 	return out, nil
 }
 
-// trackedSource adapts one scenario's golden lookups onto the shared
-// cache, attributing hits and misses to the scenario.
-type trackedSource struct {
-	gate   string
-	bench  nor.Params
-	cache  *eval.GoldenCache
-	src    eval.GoldenSource
-	hits   *atomic.Int64
-	misses *atomic.Int64
-}
-
-// Golden implements eval.GoldenSource.
-func (s trackedSource) Golden(req eval.GoldenRequest) (trace.Trace, error) {
-	key := eval.GoldenKey{Gate: s.gate, Bench: s.bench, Config: req.Config, Seed: req.Seed}
-	out, hit, err := s.cache.GetOrComputeTracked(key, func() (trace.Trace, error) {
-		return s.src.Golden(req)
-	})
-	if err == nil {
-		if hit {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-	}
-	return out, err
-}
-
-// Lease implements eval.Leaser by leasing the underlying bench pool
-// when it supports leasing, so batched sweep units pin one warm bench;
-// tracking and the shared cache stay in front.
-func (s trackedSource) Lease() (eval.GoldenSource, func(), error) {
-	l, ok := s.src.(eval.Leaser)
-	if !ok {
-		return s, func() {}, nil
-	}
-	inner, release, err := l.Lease()
-	if err != nil {
-		return nil, nil, err
-	}
-	leased := s
-	leased.src = inner
-	return leased, release, nil
-}
-
-// trackedCircuitSource is the circuit counterpart of trackedSource:
-// composed golden trace sets looked up in the shared cache under the
-// netlist content key, with per-scenario hit attribution.
-type trackedCircuitSource struct {
-	key    string // netlist content key
-	bench  nor.Params
-	cache  *eval.GoldenCache
-	src    eval.CircuitGoldenSource
-	hits   *atomic.Int64
-	misses *atomic.Int64
-}
-
-// GoldenNets implements eval.CircuitGoldenSource.
-func (s trackedCircuitSource) GoldenNets(req eval.GoldenRequest) (map[string]trace.Trace, error) {
-	out, hit, err := s.cache.GetOrComputeSet(eval.CircuitKey(s.key, s.bench, req.Config, req.Seed),
-		func() (map[string]trace.Trace, error) { return s.src.GoldenNets(req) })
-	if err == nil {
-		if hit {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-	}
-	return out, err
-}
-
-// LeaseCircuit implements eval.CircuitLeaser; see trackedSource.Lease.
-func (s trackedCircuitSource) LeaseCircuit() (eval.CircuitGoldenSource, func(), error) {
-	l, ok := s.src.(eval.CircuitLeaser)
-	if !ok {
-		return s, func() {}, nil
-	}
-	inner, release, err := l.LeaseCircuit()
-	if err != nil {
-		return nil, nil, err
-	}
-	leased := s
-	leased.src = inner
-	return leased, release, nil
-}
-
 // circuitToSeedResult folds a per-net circuit unit result into the flat
 // per-model shape the sweep report aggregates: areas and golden events
 // summed over the recorded nets, in net and model order (deterministic
@@ -556,133 +478,61 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 	}
 
 	// One flat unit list over the whole grid: scenario-major (grid
-	// order), seed-minor — exactly the eval runner's schedule, lifted
-	// over scenarios so every scenario shares the same worker budget.
+	// order), seed-minor — a gate job's schedule lifted over scenarios,
+	// so every scenario shares the same worker budget.
 	total := len(scenarios) * len(seeds)
 	parts := make([]eval.SeedResult, total)
-	errs := make([]error, total)
-	scenarioHits := make([]atomic.Int64, len(scenarios))
-	scenarioMisses := make([]atomic.Int64, len(scenarios))
+	scenarioCounts := make([]eval.LookupCounts, len(scenarios))
 	scenarioNanos := make([]atomic.Int64, len(scenarios))
-	sources := make([]eval.GoldenSource, len(scenarios))
-	csources := make([]eval.CircuitGoldenSource, len(scenarios))
+	sources := make([]any, len(scenarios)) // eval.GoldenSource or eval.CircuitGoldenSource
 	for i, sc := range scenarios {
 		if sc.Circuit != nil {
 			cp := cpoints[circuitKey{sc.Circuit.Name, sc.VDDScale, sc.LoadScale}]
-			csources[i] = trackedCircuitSource{
-				key:    sc.Circuit.ContentKey(),
-				bench:  cp.params,
-				cache:  o.Cache,
-				src:    cp.golden,
-				hits:   &scenarioHits[i],
-				misses: &scenarioMisses[i],
-			}
+			sources[i] = eval.CachedCircuitSource{Key: sc.Circuit.ContentKey(), Bench: cp.params,
+				Cache: o.Cache, Src: cp.golden, Counts: &scenarioCounts[i]}
 			continue
 		}
 		pt := points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}]
-		sources[i] = trackedSource{
-			gate:   sc.Gate,
-			bench:  pt.params,
-			cache:  o.Cache,
-			src:    pt.golden,
-			hits:   &scenarioHits[i],
-			misses: &scenarioMisses[i],
-		}
+		sources[i] = eval.CachedSource{Gate: sc.Gate, Bench: pt.params,
+			Cache: o.Cache, Src: pt.golden, Counts: &scenarioCounts[i]}
 	}
 
-	var progressMu sync.Mutex
-	completed := 0
-	unitDone := func(i int, err error) {
-		if o.Progress == nil {
-			return
+	var done func(i, completed int, err error)
+	if o.Progress != nil {
+		done = func(i, completed int, err error) {
+			o.Progress(Progress{
+				Phase: PhaseEval, Scenario: i / len(seeds), Seed: seeds[i%len(seeds)],
+				Completed: completed, Total: total, Err: err,
+			})
 		}
-		progressMu.Lock()
-		completed++
-		o.Progress(Progress{
-			Phase: PhaseEval, Scenario: i / len(seeds), Seed: seeds[i%len(seeds)],
-			Completed: completed, Total: total, Err: err,
-		})
-		progressMu.Unlock()
 	}
-	// Workers claim batches of consecutive units; within a batch, runs
-	// of units sharing a scenario lease one bench (see eval.Leaser), so
-	// the seed-minor schedule keeps a warm solver workspace pinned per
-	// scenario. Results stay index-addressed, so batching cannot change
-	// the merge or the winning error.
-	batch := (total + 2*o.Workers - 1) / (2 * o.Workers)
-	if batch < 1 {
-		batch = 1
-	}
-	nBatches := (total + batch - 1) / batch
-	ctxErr := pool.RunContext(ctx, nBatches, o.Workers, func(bi int) error {
-		lo := bi * batch
-		hi := lo + batch
-		if hi > total {
-			hi = total
-		}
-		var (
-			leaseSi      = -1
-			leaseRelease func()
-			leaseSrc     eval.GoldenSource
-			leaseCSrc    eval.CircuitGoldenSource
-		)
-		defer func() {
-			if leaseRelease != nil {
-				leaseRelease()
-			}
-		}()
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			si := i / len(seeds)
+	// Each scenario is one source block of len(seeds) units, so the
+	// seed-minor schedule keeps a warm bench leased per scenario.
+	err = eval.RunUnits(ctx, eval.Units[any]{
+		N: total, Workers: o.Workers, PerSource: len(seeds),
+		Source: func(si int) any { return sources[si] },
+		Run: func(ctx context.Context, src any, i int) (err error) {
+			si, seed := i/len(seeds), seeds[i%len(seeds)]
 			sc := scenarios[si]
-			if si != leaseSi {
-				if leaseRelease != nil {
-					leaseRelease()
-					leaseRelease = nil
-				}
-				leaseSi = si
-				if sc.Circuit != nil {
-					leaseCSrc = csources[si]
-					if l, ok := leaseCSrc.(eval.CircuitLeaser); ok {
-						if leased, release, err := l.LeaseCircuit(); err == nil {
-							leaseCSrc, leaseRelease = leased, release
-						}
-					}
-				} else {
-					leaseSrc = sources[si]
-					if l, ok := leaseSrc.(eval.Leaser); ok {
-						if leased, release, err := l.Lease(); err == nil {
-							leaseSrc, leaseRelease = leased, release
-						}
-					}
-				}
-			}
 			unitStart := time.Now()
 			if sc.Circuit != nil {
 				cp := cpoints[circuitKey{sc.Circuit.Name, sc.VDDScale, sc.LoadScale}]
 				var cres eval.CircuitSeedResult
-				cres, errs[i] = eval.EvaluateCircuitSeedContext(ctx, leaseCSrc, sc.Circuit, cp.models, sc.Config, seeds[i%len(seeds)])
+				cres, err = eval.EvaluateCircuitSeedContext(ctx, src.(eval.CircuitGoldenSource), sc.Circuit, cp.models, sc.Config, seed)
 				parts[i] = circuitToSeedResult(cres)
 			} else {
-				parts[i], errs[i] = eval.EvaluateSeedContext(ctx, leaseSrc, points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}].models, sc.Config, seeds[i%len(seeds)])
+				parts[i], err = eval.EvaluateSeedContext(ctx, src.(eval.GoldenSource), points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}].models, sc.Config, seed)
 			}
 			scenarioNanos[si].Add(time.Since(unitStart).Nanoseconds())
-			unitDone(i, errs[i])
-			if errs[i] != nil {
-				return errs[i]
+			if err != nil {
+				return fmt.Errorf("sweep: scenario %d (%s): %w", si, sc.Name(), err)
 			}
-		}
-		return nil
-	}, nil)
-	for i, err := range errs {
-		if err != nil && !(ctxErr != nil && eval.IsContextErr(err)) {
-			return nil, fmt.Errorf("sweep: scenario %d (%s): %w", i/len(seeds), scenarios[i/len(seeds)].Name(), err)
-		}
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
+			return nil
+		},
+		Done: done,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &Report{
@@ -694,7 +544,7 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 	for si, sc := range scenarios {
 		merged := eval.MergeSeedResults(sc.Config, parts[si*len(seeds):(si+1)*len(seeds)])
 		rep.Scenarios[si] = buildScenarioResult(sc, merged, parts[si*len(seeds):(si+1)*len(seeds)],
-			scenarioHits[si].Load(), scenarioMisses[si].Load(), scenarioNanos[si].Load())
+			&scenarioCounts[si], scenarioNanos[si].Load())
 	}
 	rep.Cache = o.Cache.Stats()
 	rep.WallSeconds = time.Since(start).Seconds()
@@ -816,7 +666,8 @@ func prepareCircuitPoints(scenarios []Scenario, points map[opKey]*opPoint) (map[
 
 // buildScenarioResult folds one scenario's merged and per-seed results
 // into the report row.
-func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedResult, hits, misses, nanos int64) ScenarioResult {
+func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedResult, counts *eval.LookupCounts, nanos int64) ScenarioResult {
+	hits, misses := counts.Hits.Load(), counts.Misses.Load()
 	res := ScenarioResult{
 		Index:        sc.Index,
 		Gate:         sc.Gate,

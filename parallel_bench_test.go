@@ -2,14 +2,15 @@ package hybriddelay
 
 // Serial-vs-parallel wall time of the Fig. 7 accuracy pipeline (the
 // repo's hottest path). BenchmarkEvaluateParallel reports speedup_x, the
-// ratio of serial Evaluate wall time to the 4-worker runner's per-
-// iteration time on the same configs and seeds, so the speedup
+// ratio of serial Evaluate wall time to a 4-worker Session gate job's
+// per-iteration time on the same configs and seeds, so the speedup
 // trajectory is tracked across PRs; the Cached variant measures the
 // steady state of a warm golden-trace cache (golden transients skipped
 // entirely). speedup_x scales with the core count — on a single-core
 // machine it sits near 1.
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -73,19 +74,26 @@ func BenchmarkEvaluateSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateParallel runs the same work on the 4-worker runner
-// (cold cache each iteration: every golden transient is re-simulated,
-// so speedup comes purely from the worker pool).
+// evaluateGateJob runs one gate job on s, failing the benchmark on error.
+func evaluateGateJob(b *testing.B, s *Session, job GateJob) {
+	b.Helper()
+	if _, err := s.Evaluate(context.Background(), job); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkEvaluateParallel runs the same work as a 4-worker gate job
+// over the prepared bench and models (uncached: every golden transient
+// is re-simulated, so speedup comes purely from the worker pool).
 func BenchmarkEvaluateParallel(b *testing.B) {
 	bench, models, configs, seeds := fig7ParallelSetup(b)
 	serial := serialBaseline(b)
+	s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
+	job := GateJob{Bench: &gate.NOR2Bench{B: bench}, Models: &models, Configs: configs, Seeds: seeds, NoCache: true}
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		r := eval.NewRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers})
-		if _, err := r.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
+		evaluateGateJob(b, s, job)
 	}
 	perIter := time.Since(start).Seconds() / float64(b.N)
 	b.StopTimer()
@@ -131,13 +139,12 @@ func BenchmarkEvalParallel(b *testing.B) {
 	for _, name := range []string{"nor2", "nand2"} {
 		b.Run(name, func(b *testing.B) {
 			bench, models, configs, seeds := gateBenchSetup(b, name)
+			s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
+			job := GateJob{Bench: bench, Models: &models, Configs: configs, Seeds: seeds, NoCache: true}
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				r := eval.NewGateRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers})
-				if _, err := r.Run(configs, seeds); err != nil {
-					b.Fatal(err)
-				}
+				evaluateGateJob(b, s, job)
 			}
 			perIter := time.Since(start).Seconds() / float64(b.N)
 			b.StopTimer()
@@ -154,16 +161,13 @@ func BenchmarkEvaluateParallelCached(b *testing.B) {
 	bench, models, configs, seeds := fig7ParallelSetup(b)
 	serial := serialBaseline(b)
 	cache := eval.NewGoldenCache()
-	r := eval.NewRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers, Cache: cache})
-	if _, err := r.Run(configs, seeds); err != nil { // warm the cache
-		b.Fatal(err)
-	}
+	s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
+	job := GateJob{Bench: &gate.NOR2Bench{B: bench}, Models: &models, Configs: configs, Seeds: seeds, Cache: cache}
+	evaluateGateJob(b, s, job) // warm the cache
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
+		evaluateGateJob(b, s, job)
 	}
 	perIter := time.Since(start).Seconds() / float64(b.N)
 	b.StopTimer()

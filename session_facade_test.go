@@ -14,12 +14,12 @@ import (
 	"hybriddelay/internal/sweep"
 )
 
-// The legacy facade entry points are thin wrappers over the default
-// Session. These property tests pin the redesign's compatibility
-// contract: for every workload shape the wrapper's output is
-// bit-identical (reflect.DeepEqual on results, byte equality on
-// encoded reports) to the pre-redesign pipeline composition it
-// replaced, across several configurations and seed lists.
+// Every workload runs through Session jobs on the one unit engine.
+// These property tests pin its contract at the facade: for every
+// workload shape a job's output is bit-identical (reflect.DeepEqual on
+// results, byte equality on encoded reports) to the serial pipeline
+// composition, for every worker count, across several configurations
+// and seed lists.
 
 // fastFacadeParams returns coarse-step bench parameters for quick
 // analog property runs.
@@ -61,35 +61,45 @@ func propertyConfigs(inputs int) []TraceConfig {
 	}
 }
 
+// TestEvaluateParallelDelegatesBitIdentical: a gate job carrying its
+// own bench and models is bit-identical to the serial EvaluateBench on
+// 1 to 4 workers.
 func TestEvaluateParallelDelegatesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog property in -short mode")
 	}
 	bench, m := facadeModels(t)
-	seeds := []int64{1, 2}
+	seeds := []int64{1, 2, 3}
+	s := NewSession(SessionOptions{})
 	for _, cfg := range propertyConfigs(2) {
-		// Pre-redesign path: the serial per-seed composition the parallel
-		// entry point has been bit-identical to since PR 1.
 		want, err := eval.EvaluateBench(&gate.NOR2Bench{B: bench}, m, cfg, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvaluateParallel(bench, m, cfg, seeds, &EvalOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: EvaluateParallel diverged from the pre-redesign pipeline:\n got %+v\nwant %+v",
-				cfg.Name(), got, want)
+		for workers := 1; workers <= 4; workers++ {
+			got, err := s.Evaluate(context.Background(), GateJob{
+				Bench: &gate.NOR2Bench{B: bench}, Models: &m,
+				Configs: []TraceConfig{cfg}, Seeds: seeds, Workers: workers, NoCache: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Gate[0], want) {
+				t.Errorf("%s workers=%d: gate job diverged from the serial pipeline:\n got %+v\nwant %+v",
+					cfg.Name(), workers, got.Gate[0], want)
+			}
 		}
 	}
 }
 
+// TestEvaluateGateDelegatesBitIdentical: for every gate, a serial gate
+// job over a prepared bench and model set reproduces EvaluateBench.
 func TestEvaluateGateDelegatesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog property in -short mode")
 	}
 	p := fastFacadeParams()
+	s := NewSession(SessionOptions{})
 	for _, name := range []string{"nor2", "nand2"} {
 		g, ok := LookupGate(name)
 		if !ok {
@@ -112,18 +122,24 @@ func TestEvaluateGateDelegatesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EvaluateGate(bench, m, cfg, []int64{1, 2})
+			got, err := s.Evaluate(context.Background(), GateJob{
+				Bench: bench, Models: &m,
+				Configs: []TraceConfig{cfg}, Seeds: []int64{1, 2}, Workers: 1,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s: EvaluateGate diverged from the pre-redesign pipeline:\n got %+v\nwant %+v",
-					name, cfg.Name(), got, want)
+			if !reflect.DeepEqual(got.Gate[0], want) {
+				t.Errorf("%s %s: gate job diverged from the serial pipeline:\n got %+v\nwant %+v",
+					name, cfg.Name(), got.Gate[0], want)
 			}
 		}
 	}
 }
 
+// TestEvaluateCircuitDelegatesBitIdentical: a circuit job is
+// bit-identical to the serial EvaluateCircuitSeed + merge composition
+// on 1 to 4 workers.
 func TestEvaluateCircuitDelegatesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog property in -short mode")
@@ -137,19 +153,36 @@ func TestEvaluateCircuitDelegatesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []int64{1, 2}
+	seeds := []int64{1, 2, 3}
+	bench, err := NewCircuitBench(nl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(SessionOptions{})
 	for _, cfg := range propertyConfigs(len(nl.Inputs))[:1] {
-		want, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
+		var parts []CircuitSeedResult
+		for _, seed := range seeds {
+			part, err := eval.EvaluateCircuitSeed(eval.NewCircuitBenchSource(bench), nl, ms, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, part)
 		}
-		got, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &EvalOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: EvaluateCircuit diverged from the pre-redesign pipeline:\n got %+v\nwant %+v",
-				cfg.Name(), got, want)
+		want := eval.MergeCircuitSeedResults(nl, cfg, parts)
+		for workers := 1; workers <= 4; workers++ {
+			got, err := s.Evaluate(context.Background(), CircuitJob{
+				Netlist: nl, Params: &p, Models: ms,
+				Config: cfg, Seeds: seeds, Workers: workers, NoCache: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := *got.Circuit
+			res.Solver = SolverStats{} // pool-shape dependent; the rows are what must match
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s workers=%d: circuit job diverged from the serial pipeline:\n got %+v\nwant %+v",
+					cfg.Name(), workers, res, want)
+			}
 		}
 	}
 }
@@ -181,32 +214,34 @@ func TestRunSweepDelegatesBitIdentical(t *testing.T) {
 		}
 		return j.String(), c.String()
 	}
-	want, err := sweep.RunSweep(spec, &sweep.Options{Workers: 4})
+	want, err := sweep.RunSweep(spec, &sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSweep(spec, &SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	s := NewSession(SessionOptions{})
+	// A private golden cache per job keeps the report's cache
+	// statistics those of one run.
+	run := func() *SweepReport {
+		t.Helper()
+		res, err := s.Evaluate(context.Background(), SweepJob{Spec: spec, Workers: 4, Cache: NewGoldenCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Sweep
 	}
-	gj, gc := encode(got)
+	gj, gc := encode(run())
 	wj, wc := encode(want)
 	if gj != wj {
-		t.Errorf("RunSweep JSON report diverged from the pre-redesign engine:\n--- facade ---\n%s\n--- direct ---\n%s", gj, wj)
+		t.Errorf("sweep job JSON report diverged from the serial engine run:\n--- session ---\n%s\n--- direct ---\n%s", gj, wj)
 	}
 	if gc != wc {
-		t.Errorf("RunSweep CSV report diverged from the pre-redesign engine:\n--- facade ---\n%s\n--- direct ---\n%s", gc, wc)
+		t.Errorf("sweep job CSV report diverged from the serial engine run:\n--- session ---\n%s\n--- direct ---\n%s", gc, wc)
 	}
-	// Re-running the facade sweep hits the default session's
-	// parametrization cache (no re-measurement) and still encodes
-	// byte-identically.
-	again, err := RunSweep(spec, &SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, ac := encode(again)
+	// Re-running the sweep hits the session's parametrization cache (no
+	// re-measurement) and still encodes byte-identically.
+	aj, ac := encode(run())
 	if aj != gj || ac != gc {
-		t.Error("warm facade sweep (parametrization served from cache) is not byte-identical to the cold run")
+		t.Error("warm sweep job (parametrization served from cache) is not byte-identical to the cold run")
 	}
 }
 
@@ -220,9 +255,6 @@ func TestFacadeSessionSurface(t *testing.T) {
 	}
 	if st := s.ParamCache().Stats(); st != (ParamCacheStats{}) {
 		t.Errorf("fresh param cache stats = %+v", st)
-	}
-	if DefaultSession() == nil || DefaultSession() != DefaultSession() {
-		t.Error("DefaultSession is not a stable process-wide instance")
 	}
 	if _, err := s.Evaluate(context.Background(), CircuitJob{}); err == nil {
 		t.Error("invalid job accepted through the facade surface")
@@ -296,22 +328,6 @@ func TestFacadeReexportExercise(t *testing.T) {
 	}
 	if DefaultGate().Name() != "nor2" {
 		t.Errorf("DefaultGate = %q", DefaultGate().Name())
-	}
-	b, err := NewBench(fastFacadeParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Models{}
-	if r := NewEvalRunner(b, m, nil); r == nil {
-		t.Error("NewEvalRunner returned nil")
-	}
-	g, _ := LookupGate("nand2")
-	gb, err := g.NewBench(fastFacadeParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := NewGateEvalRunner(gb, m, &EvalOptions{Workers: 2}); r == nil {
-		t.Error("NewGateEvalRunner returned nil")
 	}
 	nl, err := BuiltinNetlist("nor-invchain")
 	if err != nil {

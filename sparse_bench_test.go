@@ -9,10 +9,10 @@ package hybriddelay
 // These rows feed the CI bench-smoke job's BENCH_sparse.json artifact.
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
@@ -31,40 +31,30 @@ func BenchmarkSparseSpeedupGate(b *testing.B) {
 	ps := pd
 	ps.Solver = spice.SparseFast
 
-	mkRunner := func(p nor.Params) *eval.Runner {
-		bench, err := gate.NOR2.NewBench(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meas, err := bench.Measure()
-		if err != nil {
-			b.Fatal(err)
-		}
-		models, err := gate.NOR2.BuildModels(meas, p.Supply, 20e-12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return eval.NewGateRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers})
-	}
-	dense, sparse := mkRunner(pd), mkRunner(ps)
+	// Each mode is a gate job on one session: the operating points are
+	// prepared up front, and every iteration re-simulates the goldens
+	// (NoCache) on the point's warm bench pool.
 	configs := gen.PaperConfigs()
 	for i := range configs {
 		configs[i].Transitions /= 4
 	}
-	seeds := []int64{1, 2}
+	s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
+	mkJob := func(p nor.Params) GateJob {
+		if _, err := s.ParamCache().OperatingPoint(context.Background(), gate.NOR2, p, DefaultSessionExpDMin); err != nil {
+			b.Fatal(err)
+		}
+		return GateJob{Gate: "nor2", Params: &p, Configs: configs, Seeds: []int64{1, 2}, NoCache: true}
+	}
+	dense, sparse := mkJob(pd), mkJob(ps)
 
 	var dSecs, sSecs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := dense.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
+		evaluateGateJob(b, s, dense)
 		dSecs += time.Since(start).Seconds()
 		start = time.Now()
-		if _, err := sparse.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
+		evaluateGateJob(b, s, sparse)
 		sSecs += time.Since(start).Seconds()
 	}
 	b.StopTimer()
