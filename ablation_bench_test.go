@@ -8,6 +8,7 @@ package hybriddelay
 import (
 	"testing"
 
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/hybrid"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
@@ -24,7 +25,7 @@ func BenchmarkAblationIntegrationMethod(b *testing.B) {
 		p := nor.DefaultParams()
 		p.MaxStep = maxStep
 		p.Method = method
-		bench, err := nor.New(p)
+		bench, err := gate.NewAnalogBench(gate.NOR2, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,17 +106,18 @@ func BenchmarkNANDDelayQuery(b *testing.B) {
 func BenchmarkNANDGoldenSweep(b *testing.B) {
 	p := nor.DefaultParams()
 	p.MaxStep = 8e-12
-	bench, err := nor.NewNAND(p)
+	bench, err := gate.NewAnalogBench(gate.NAND2, p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var c nor.CharacteristicDelays
+	var c hybrid.Characteristic
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err = bench.Characteristic()
+		m, err := bench.Measure()
 		if err != nil {
 			b.Fatal(err)
 		}
+		c = m.Pair
 	}
 	b.ReportMetric(100*(c.RiseZero-c.RiseMinusInf)/c.RiseMinusInf, "nand_risedip_%")
 }

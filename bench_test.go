@@ -29,26 +29,27 @@ import (
 var benchSetup struct {
 	once   sync.Once
 	err    error
-	bench  *nor.Bench
+	bench  *gate.AnalogBench
 	target hybrid.Characteristic
 	models eval.Models
 }
 
-func setupGolden(b *testing.B) (*nor.Bench, hybrid.Characteristic, eval.Models) {
+func setupGolden(b *testing.B) (*gate.AnalogBench, hybrid.Characteristic, eval.Models) {
 	b.Helper()
 	benchSetup.once.Do(func() {
 		p := nor.DefaultParams()
 		p.MaxStep = 8e-12
-		bench, err := nor.New(p)
+		bench, err := gate.NewAnalogBench(gate.NOR2, p)
 		if err != nil {
 			benchSetup.err = err
 			return
 		}
-		target, err := eval.MeasureCharacteristic(bench)
+		meas, err := bench.Measure()
 		if err != nil {
 			benchSetup.err = err
 			return
 		}
+		target := meas.Pair
 		models, err := eval.BuildModels(target, p.Supply, 20e-12)
 		if err != nil {
 			benchSetup.err = err
@@ -209,7 +210,7 @@ func fig7Config(b *testing.B, cfgIndex int) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = eval.Evaluate(bench, models, cfg, []int64{1, 2})
+		res, err = eval.EvaluateBench(bench, models, cfg, []int64{1, 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +341,7 @@ func BenchmarkGoldenTransient(b *testing.B) {
 	a, tb, until := benchTrace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.GoldenNOR(bench, a, tb, until); err != nil {
+		if _, err := bench.Golden([]trace.Trace{a, tb}, until); err != nil {
 			b.Fatal(err)
 		}
 	}

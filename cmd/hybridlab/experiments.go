@@ -28,8 +28,8 @@ func benchParams(opt options) nor.Params {
 }
 
 // goldenBench builds the calibrated golden-reference NOR bench.
-func goldenBench(opt options) (*nor.Bench, error) {
-	return nor.New(benchParams(opt))
+func goldenBench(opt options) (*gate.AnalogBench, error) {
+	return gate.NewAnalogBench(gate.NOR2, benchParams(opt))
 }
 
 // deltaGrid returns the MIS sweep grid in seconds.
@@ -53,8 +53,9 @@ func toPsSlice(xs []float64) []float64 {
 }
 
 // measuredTarget measures the golden characteristic delays.
-func measuredTarget(b *nor.Bench) (hybrid.Characteristic, error) {
-	return eval.MeasureCharacteristic(b)
+func measuredTarget(b *gate.AnalogBench) (hybrid.Characteristic, error) {
+	m, err := b.Measure()
+	return m.Pair, err
 }
 
 // runFig2Wave prints the analog waveforms of Fig. 2a (falling output,
@@ -72,9 +73,9 @@ func runFig2Wave(opt options) error {
 	if err != nil {
 		return err
 	}
-	render := func(title string, r *nor.Result) {
+	render := func(title string, r *gate.Waveforms) {
 		n := 160
-		t0, t1 := r.O.Start(), r.O.End()
+		t0, t1 := r.Out.Start(), r.Out.End()
 		xs := make([]float64, n+1)
 		mk := func(w *waveform.Waveform) []float64 {
 			ys := make([]float64, n+1)
@@ -86,10 +87,10 @@ func runFig2Wave(opt options) error {
 			return ys
 		}
 		ss := []series{
-			{name: "VA", marker: 'a', xs: xs, ys: mk(r.A)},
-			{name: "VB", marker: 'b', xs: xs, ys: mk(r.B)},
-			{name: "VO", marker: 'O', xs: xs, ys: mk(r.O)},
-			{name: "VN", marker: 'n', xs: xs, ys: mk(r.N)},
+			{name: "VA", marker: 'a', xs: xs, ys: mk(r.In[0])},
+			{name: "VB", marker: 'b', xs: xs, ys: mk(r.In[1])},
+			{name: "VO", marker: 'O', xs: xs, ys: mk(r.Out)},
+			{name: "VN", marker: 'n', xs: xs, ys: mk(r.Internal[0])},
 		}
 		if opt.csv {
 			fmt.Printf("# %s\n%s", title, csvOut("t_ps", ss))
@@ -225,7 +226,7 @@ func runTable1(opt options) error {
 	if err != nil {
 		return err
 	}
-	p, rep, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	p, rep, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
@@ -262,7 +263,7 @@ func runFig5(opt options) error {
 	if err != nil {
 		return err
 	}
-	p, _, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	p, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
@@ -306,7 +307,7 @@ func runFig6(opt options) error {
 	if err != nil {
 		return err
 	}
-	p, _, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	p, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
@@ -481,12 +482,12 @@ func runFig8(opt options) error {
 	if err != nil {
 		return err
 	}
-	withD, _, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	withD, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
 	tailW := []float64{3, 1, 3, 3, 1, 3}
-	without, _, err := hybrid.FitCharacteristic(target, b.P.Supply, &hybrid.FitOptions{DMin: 0, Weights: tailW})
+	without, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, &hybrid.FitOptions{DMin: 0, Weights: tailW})
 	if err != nil {
 		return err
 	}

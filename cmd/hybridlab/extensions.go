@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/hybrid"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/waveform"
@@ -15,14 +16,15 @@ func runNAND(opt options) error {
 	if opt.fast {
 		p.MaxStep = 8e-12
 	}
-	bench, err := nor.NewNAND(p)
+	bench, err := gate.NewAnalogBench(gate.NAND2, p)
 	if err != nil {
 		return err
 	}
-	analog, err := bench.Characteristic()
+	meas, err := bench.Measure()
 	if err != nil {
 		return err
 	}
+	analog := meas.Pair
 	model := hybrid.NANDFromDual(hybrid.TableI())
 	mc, err := model.Characteristic()
 	if err != nil {
@@ -57,7 +59,7 @@ func runNOR3(opt options) error {
 	if opt.fast {
 		p.MaxStep = 8e-12
 	}
-	bench, err := nor.NewNOR3(p)
+	bench, err := gate.NewAnalogBench(gate.NOR3, p)
 	if err != nil {
 		return err
 	}
@@ -66,19 +68,19 @@ func runNOR3(opt options) error {
 	if err != nil {
 		return err
 	}
-	aAll, err := bench.FallingDelay3(0, 0)
+	aAll, err := bench.Delay(gate.NOR3Edge(p, 0, 0, false))
 	if err != nil {
 		return err
 	}
-	aTwo, err := bench.FallingDelay3(0, nor.SISFar)
+	aTwo, err := bench.Delay(gate.NOR3Edge(p, 0, nor.SISFar, false))
 	if err != nil {
 		return err
 	}
-	aSIS, err := bench.FallingDelay3(nor.SISFar, 2*nor.SISFar)
+	aSIS, err := bench.Delay(gate.NOR3Edge(p, nor.SISFar, 2*nor.SISFar, false))
 	if err != nil {
 		return err
 	}
-	aRise, err := bench.RisingDelay3(0, 0, 0)
+	aRise, err := bench.Delay(gate.NOR3Edge(p, 0, 0, true))
 	if err != nil {
 		return err
 	}

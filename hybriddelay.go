@@ -33,12 +33,12 @@
 //	                   parametrization, the 2-input digital channel and
 //	                   the generalized switch-level SwitchGate channel
 //	internal/spice   - MNA transient analog simulator (golden reference)
-//	internal/nor     - transistor-level NOR/NAND/NOR3 testbenches
-//	                   (paper Fig. 1 and its structural variants)
-//	internal/gate    - the gate registry: bench construction, Charlie
-//	                   measurement and model parametrization behind one
-//	                   Gate interface (nor2 default, nand2, nor3), so
-//	                   the pipeline is gate-generic
+//	internal/nor     - testbench parameters and the NOR/NAND/NOR3
+//	                   device stamps (paper Fig. 1 and its variants)
+//	internal/gate    - the gate registry (nor2 default, nand2, nor3)
+//	                   and the one analog bench every golden run uses:
+//	                   Stamp, Charlie measurement and model
+//	                   parametrization behind one Gate interface
 //	internal/dtsim   - event-driven digital timing simulator
 //	internal/idm     - involution (exp / sum-exp) channels
 //	internal/inertial- pure/inertial and arity-generic per-pin arc
@@ -146,8 +146,11 @@ type Trace = trace.Trace
 // BenchParams configures the transistor-level NOR golden reference.
 type BenchParams = nor.Params
 
-// Bench is the instantiated transistor-level NOR testbench.
-type Bench = nor.Bench
+// Bench is the transistor-level analog golden bench of a gate: its
+// Charlie delays (FallingDelay, RisingDelay), Fig. 2 waveforms and MIS
+// sweeps, Measure and Golden all run through one edge experiment and
+// one transient call. NewBench builds the paper's NOR2 bench.
+type Bench = gate.AnalogBench
 
 // Models bundles the delay models compared in the Fig. 7 evaluation.
 type Models = eval.Models
@@ -176,8 +179,8 @@ func DefaultSupply() Supply { return waveform.DefaultSupply() }
 // DefaultBenchParams returns the calibrated golden-reference testbench.
 func DefaultBenchParams() BenchParams { return nor.DefaultParams() }
 
-// NewBench instantiates the transistor-level NOR testbench.
-func NewBench(p BenchParams) (*Bench, error) { return nor.New(p) }
+// NewBench instantiates the transistor-level NOR2 testbench.
+func NewBench(p BenchParams) (*Bench, error) { return gate.NewAnalogBench(gate.NOR2, p) }
 
 // FitCharacteristic calibrates model parameters against measured
 // characteristic Charlie delays (paper §V).
@@ -199,7 +202,8 @@ func BuildModels(target Characteristic, supply Supply, expDMin float64) (Models,
 // MeasureCharacteristic measures the six characteristic Charlie delays
 // of a golden-reference bench.
 func MeasureCharacteristic(bench *Bench) (Characteristic, error) {
-	return eval.MeasureCharacteristic(bench)
+	m, err := bench.Measure()
+	return m.Pair, err
 }
 
 // RunResult aggregates the deviation areas of one evaluation run.

@@ -10,8 +10,9 @@ func DefaultKeyRules(m *Module) []KeyRule {
 	p := m.Path
 	// Run-scoped TransientOptions fields: set per transient from state
 	// that is already part of the cache identity (stimulus config +
-	// seed + netlist content key) or pinned to solver defaults by the
-	// bench layer — they carry no independent identity.
+	// seed + netlist content key) or pinned to solver defaults by
+	// gate.Testbench.Run, the one transient call of every golden bench
+	// — they carry no independent identity.
 	transientIgnore := map[string]string{
 		"TStart":            "simulation window; derived from the keyed stimulus",
 		"TStop":             "simulation window; derived from the keyed stimulus",

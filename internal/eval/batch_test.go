@@ -80,7 +80,7 @@ func TestBenchSourceLeaseBitIdentical(t *testing.T) {
 		t.Skip("analog golden runs in -short mode")
 	}
 	b := evalBench(t)
-	src := NewBenchSource(b)
+	src := NewGateBenchSource(b)
 	cfg := testConfig(6)
 	inputs, err := gen.Traces(cfg, 3)
 	if err != nil {
@@ -123,12 +123,12 @@ func TestEvaluateParallelBatchBitIdentical(t *testing.T) {
 	cfg := testConfig(24)
 	seeds := []int64{1, 2, 3, 4, 5}
 
-	serial, err := Evaluate(b, m, cfg, seeds)
+	serial, err := EvaluateBench(b, m, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= 4; workers++ {
-		res, err := runGate(NewBenchSource(b), m, cfg, seeds, workers)
+		res, err := runGate(NewGateBenchSource(b), m, cfg, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestEvaluateCircuitBatchBitIdentical(t *testing.T) {
 	}
 	m.Gate = nand // the Table-I delay params stand in; only determinism matters here
 	ms := netlist.ModelSet{"nand2": m}
-	p := evalBench(t).P
+	p := evalBench(t).Params()
 	cfg := testConfig(8)
 	cfg.Inputs = len(nl.Inputs)
 	seeds := []int64{1, 2, 3}

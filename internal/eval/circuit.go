@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/gate"
@@ -33,61 +32,20 @@ type CircuitGoldenSource interface {
 
 // CircuitBenchSource is a CircuitGoldenSource backed by a pool of
 // composed transistor-level benches, one handed to each concurrent
-// request (cf. BenchSource for single gates).
+// request (the same free list as BenchSource).
 type CircuitBenchSource struct {
-	nl *netlist.Netlist
-	p  nor.Params
-
-	mu   sync.Mutex
-	free []*netlist.Bench
+	benchPool[*netlist.Bench]
 }
 
 // NewCircuitBenchSource wraps a composed bench as a concurrency-safe
 // golden source; extra instances are cloned on demand.
 func NewCircuitBenchSource(b *netlist.Bench) *CircuitBenchSource {
-	return &CircuitBenchSource{nl: b.Netlist(), p: b.Params(), free: []*netlist.Bench{b}}
-}
-
-func (s *CircuitBenchSource) acquire() (*netlist.Bench, error) {
-	s.mu.Lock()
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.mu.Unlock()
-		return b, nil
-	}
-	s.mu.Unlock()
-	return netlist.NewBench(s.nl, s.p)
-}
-
-func (s *CircuitBenchSource) release(b *netlist.Bench) {
-	s.mu.Lock()
-	s.free = append(s.free, b)
-	s.mu.Unlock()
-}
-
-// SolverStats aggregates the solver counters of the pooled composed
-// benches; only idle (released) instances are counted, so take the
-// snapshot between jobs (cf. BenchSource.SolverStats).
-func (s *CircuitBenchSource) SolverStats() spice.SolverStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var st spice.SolverStats
-	for _, b := range s.free {
-		st.Add(b.SolverStats())
-	}
-	return st
+	return &CircuitBenchSource{benchPool[*netlist.Bench]{build: b.Clone, free: []*netlist.Bench{b}}}
 }
 
 // GoldenNets implements CircuitGoldenSource on a private bench.
 func (s *CircuitBenchSource) GoldenNets(req GoldenRequest) (map[string]trace.Trace, error) {
-	b, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	out, err := b.Golden(req.Inputs, req.Until)
-	s.release(b)
-	return out, err
+	return use(&s.benchPool, func(b *netlist.Bench) (map[string]trace.Trace, error) { return b.Golden(req.Inputs, req.Until) })
 }
 
 // CircuitLeaser is the circuit counterpart of Leaser: sources that can
@@ -109,11 +67,11 @@ func (l leasedCircuitBench) GoldenNets(req GoldenRequest) (map[string]trace.Trac
 
 // LeaseCircuit implements CircuitLeaser by pinning one pooled bench.
 func (s *CircuitBenchSource) LeaseCircuit() (CircuitGoldenSource, func(), error) {
-	b, err := s.acquire()
+	b, release, err := s.lease()
 	if err != nil {
 		return nil, nil, err
 	}
-	return leasedCircuitBench{b: b}, func() { s.release(b) }, nil
+	return leasedCircuitBench{b: b}, release, nil
 }
 
 // CachedCircuitSource composes a GoldenCache over an inner circuit

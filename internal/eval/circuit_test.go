@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
@@ -74,13 +73,13 @@ func TestSingleGateCircuitBitIdentical(t *testing.T) {
 	cfg := testConfig(24)
 	seeds := []int64{1, 2, 3}
 
-	want, err := EvaluateBench(&gate.NOR2Bench{B: b}, m, cfg, seeds)
+	want, err := EvaluateBench(b, m, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	nl := singleNOR2Netlist()
-	got, err := evaluateCircuit(t, nl, b.P, netlist.ModelSet{"nor2": m}, cfg, seeds, 2, nil)
+	got, err := evaluateCircuit(t, nl, b.Params(), netlist.ModelSet{"nor2": m}, cfg, seeds, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestEvaluateCircuitDeterministicAcrossWorkers(t *testing.T) {
 	nl := chainNetlist(t, 2)
 	m := cheapModels(t)
 	ms := netlist.ModelSet{"nor2": m}
-	p := evalBench(t).P
+	p := evalBench(t).Params()
 	cfg := testConfig(16)
 	seeds := []int64{1, 2, 3, 4}
 

@@ -320,12 +320,12 @@ func TestEvaluateParallelDeterministic(t *testing.T) {
 	cfg := testConfig(40)
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 
-	serial, err := Evaluate(b, m, cfg, seeds)
+	serial, err := EvaluateBench(b, m, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewGoldenCache()
-	src := CachedSource{Gate: "nor2", Bench: b.P, Cache: cache, Src: NewBenchSource(b)}
+	src := CachedSource{Gate: "nor2", Bench: b.Params(), Cache: cache, Src: NewGateBenchSource(b)}
 	for _, workers := range []int{1, 4, 8} {
 		res, err := runGate(src, m, cfg, seeds, workers)
 		if err != nil {

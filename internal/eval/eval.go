@@ -10,7 +10,7 @@
 // parametrization, golden runs), so NOR2 — the paper's gate and the
 // default — NAND2 and NOR3 all flow through the same machinery. It is
 // decomposed into independent (config, seed) units (EvaluateSeed)
-// scheduled either serially (Evaluate, EvaluateBench) or on the one
+// scheduled either serially (EvaluateBench) or on the one
 // unit engine (RunUnits, with the RunGate and RunCircuit job shapes)
 // with deterministic merging: results are bit-identical regardless of
 // the worker count. The golden
@@ -26,7 +26,6 @@ import (
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/hybrid"
-	"hybriddelay/internal/nor"
 	"hybriddelay/internal/trace"
 	"hybriddelay/internal/waveform"
 )
@@ -66,23 +65,6 @@ func BuildModels(target hybrid.Characteristic, supply waveform.Supply, expDMin f
 		Pair: target,
 		Arcs: gate.NOR2Arcs(target),
 	}, supply, expDMin)
-}
-
-// MeasureCharacteristic runs the golden NOR bench's characteristic-delay
-// measurements and converts them into the hybrid package's target type.
-func MeasureCharacteristic(bench *nor.Bench) (hybrid.Characteristic, error) {
-	meas, err := (&gate.NOR2Bench{B: bench}).Measure()
-	if err != nil {
-		return hybrid.Characteristic{}, err
-	}
-	return meas.Pair, nil
-}
-
-// GoldenNOR runs the analog NOR bench over the given input traces and
-// returns the digitized output trace. Both inputs must start low (the
-// bench starts settled in state (0,0)).
-func GoldenNOR(bench *nor.Bench, a, b trace.Trace, until float64) (trace.Trace, error) {
-	return (&gate.NOR2Bench{B: bench}).Golden([]trace.Trace{a, b}, until)
 }
 
 // RunModels produces each model's output trace for the given inputs.
@@ -143,10 +125,4 @@ func EvaluateBench(bench gate.Bench, m Models, cfg gen.Config, seeds []int64) (R
 		parts = append(parts, part)
 	}
 	return MergeSeedResults(cfg, parts), nil
-}
-
-// Evaluate runs the pipeline for one configuration on the default NOR2
-// golden bench; see EvaluateBench for the gate-generic form.
-func Evaluate(bench *nor.Bench, m Models, cfg gen.Config, seeds []int64) (RunResult, error) {
-	return EvaluateBench(&gate.NOR2Bench{B: bench}, m, cfg, seeds)
 }

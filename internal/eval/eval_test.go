@@ -14,30 +14,30 @@ import (
 
 // evalBench builds the golden bench with a coarser integrator step for
 // test speed (delay error well below the deviation areas measured).
-func evalBench(t *testing.T) *nor.Bench {
+func evalBench(t *testing.T) *gate.AnalogBench {
 	t.Helper()
 	p := nor.DefaultParams()
 	p.MaxStep = 8e-12
-	b, err := nor.New(p)
+	b, err := gate.NewAnalogBench(gate.NOR2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-func measuredTarget(t *testing.T, b *nor.Bench) hybrid.Characteristic {
+func measuredTarget(t *testing.T, b gate.Bench) hybrid.Characteristic {
 	t.Helper()
-	c, err := MeasureCharacteristic(b)
+	m, err := b.Measure()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return m.Pair
 }
 
 func TestBuildModels(t *testing.T) {
 	b := evalBench(t)
 	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
+	m, err := BuildModels(target, b.Params().Supply, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBuildModels(t *testing.T) {
 
 func TestGoldenNORRejectsHighInputs(t *testing.T) {
 	b := evalBench(t)
-	if _, err := GoldenNOR(b, trace.Trace{Initial: true}, trace.Trace{}, 1e-9); err == nil {
+	if _, err := b.Golden([]trace.Trace{{Initial: true}, {}}, 1e-9); err == nil {
 		t.Error("high initial input accepted")
 	}
 }
@@ -82,7 +82,7 @@ func TestGoldenNORRejectsHighInputs(t *testing.T) {
 func TestGoldenNORSingleEdge(t *testing.T) {
 	b := evalBench(t)
 	a := trace.New(false, []trace.Event{{Time: 1e-9, Value: true}})
-	out, err := GoldenNOR(b, a, trace.Trace{Initial: false}, 2e-9)
+	out, err := b.Golden([]trace.Trace{a, {Initial: false}}, 2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestEvaluatePipeline(t *testing.T) {
 	}
 	b := evalBench(t)
 	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
+	m, err := BuildModels(target, b.Params().Supply, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	short := gen.PaperConfigs()[0]
 	short.Transitions = 120
-	resShort, err := Evaluate(b, m, short, []int64{1, 2, 3})
+	resShort, err := EvaluateBench(b, m, short, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEvaluatePipeline(t *testing.T) {
 
 	broad := gen.PaperConfigs()[2] // 2000/1000 GLOBAL
 	broad.Transitions = 120
-	resBroad, err := Evaluate(b, m, broad, []int64{1, 2})
+	resBroad, err := EvaluateBench(b, m, broad, []int64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +151,17 @@ func TestEvaluatePipeline(t *testing.T) {
 func TestEvaluateValidation(t *testing.T) {
 	b := evalBench(t)
 	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
+	m, err := BuildModels(target, b.Params().Supply, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := gen.PaperConfigs()[0]
-	if _, err := Evaluate(b, m, cfg, nil); err == nil {
+	if _, err := EvaluateBench(b, m, cfg, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 	cfg.Inputs = 3
 	cfg.Transitions = 9
-	if _, err := Evaluate(b, m, cfg, []int64{1}); err == nil {
+	if _, err := EvaluateBench(b, m, cfg, []int64{1}); err == nil {
 		t.Error("3-input config accepted by the NOR pipeline")
 	}
 }
@@ -171,7 +171,7 @@ func TestEvaluateValidation(t *testing.T) {
 func TestRunModelsProducesAllModels(t *testing.T) {
 	b := evalBench(t)
 	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
+	m, err := BuildModels(target, b.Params().Supply, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,55 +32,56 @@ type GoldenSource interface {
 	Golden(req GoldenRequest) (trace.Trace, error)
 }
 
-// BenchSource is a GoldenSource backed by a gate's transistor-level
-// analog bench. Because a bench owns mutable simulator state
-// (input-source signals, device charge state), one instance cannot run
-// two transients at once; BenchSource keeps a free list of benches so
-// that each concurrent request gets a private instance (extra instances
-// are built on demand through the gate's constructor).
-type BenchSource struct {
-	gate   gate.Gate
-	params nor.Params
+// benchPool is the free list behind both analog golden sources. A
+// bench owns mutable simulator state (input-source signals, device
+// charge state), so one instance cannot run two transients at once:
+// each concurrent request takes a private instance, and extra instances
+// are built on demand.
+type benchPool[B any] struct {
+	build func() (B, error)
 
 	mu   sync.Mutex
-	free []gate.Bench
+	free []B
 }
 
-// NewBenchSource wraps a NOR2 bench as a concurrency-safe golden source;
-// see NewGateBenchSource for the gate-generic form.
-func NewBenchSource(b *nor.Bench) *BenchSource {
-	return NewGateBenchSource(&gate.NOR2Bench{B: b})
-}
-
-// NewGateBenchSource wraps any gate bench as a concurrency-safe golden
-// source. The given bench seeds the free list; additional instances are
-// built on demand from its gate and parameters.
-func NewGateBenchSource(b gate.Bench) *BenchSource {
-	return &BenchSource{gate: b.Gate(), params: b.Params(), free: []gate.Bench{b}}
-}
-
-// Gate returns the gate all bench instances implement.
-func (s *BenchSource) Gate() gate.Gate { return s.gate }
-
-// Params returns the bench parameters all instances share.
-func (s *BenchSource) Params() nor.Params { return s.params }
-
-func (s *BenchSource) acquire() (gate.Bench, error) {
-	s.mu.Lock()
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.mu.Unlock()
+func (p *benchPool[B]) acquire() (B, error) {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
 		return b, nil
 	}
-	s.mu.Unlock()
-	return s.gate.NewBench(s.params)
+	p.mu.Unlock()
+	return p.build()
 }
 
-func (s *BenchSource) release(b gate.Bench) {
-	s.mu.Lock()
-	s.free = append(s.free, b)
-	s.mu.Unlock()
+func (p *benchPool[B]) release(b B) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
+}
+
+// lease pins one pooled bench until the returned release runs.
+func (p *benchPool[B]) lease() (B, func(), error) {
+	b, err := p.acquire()
+	if err != nil {
+		return b, nil, err
+	}
+	return b, func() { p.release(b) }, nil
+}
+
+// use runs f on a private bench instance. A bench whose run panics is
+// not returned to the pool.
+func use[B, R any](p *benchPool[B], f func(B) (R, error)) (R, error) {
+	b, err := p.acquire()
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	out, err := f(b)
+	p.release(b)
+	return out, err
 }
 
 // SolverStatser is implemented by benches and golden sources that can
@@ -94,28 +95,47 @@ type SolverStatser interface {
 // instances. Only idle (released) instances are counted; between jobs
 // the pool is fully idle, so a job-end snapshot sees every transient
 // the source ever ran.
-func (s *BenchSource) SolverStats() spice.SolverStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (p *benchPool[B]) SolverStats() spice.SolverStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var st spice.SolverStats
-	for _, b := range s.free {
-		if ss, ok := b.(SolverStatser); ok {
+	for _, b := range p.free {
+		if ss, ok := any(b).(SolverStatser); ok {
 			st.Add(ss.SolverStats())
 		}
 	}
 	return st
 }
 
+// BenchSource is a GoldenSource backed by a pool of a gate's
+// transistor-level analog benches.
+type BenchSource struct {
+	gate   gate.Gate
+	params nor.Params
+	benchPool[gate.Bench]
+}
+
+// NewGateBenchSource wraps any gate bench as a concurrency-safe golden
+// source. The given bench seeds the free list; additional instances are
+// built on demand from its gate and parameters.
+func NewGateBenchSource(b gate.Bench) *BenchSource {
+	g, p := b.Gate(), b.Params()
+	return &BenchSource{gate: g, params: p, benchPool: benchPool[gate.Bench]{
+		build: func() (gate.Bench, error) { return g.NewBench(p) },
+		free:  []gate.Bench{b},
+	}}
+}
+
+// Gate returns the gate all bench instances implement.
+func (s *BenchSource) Gate() gate.Gate { return s.gate }
+
+// Params returns the bench parameters all instances share.
+func (s *BenchSource) Params() nor.Params { return s.params }
+
 // Golden implements GoldenSource by running the analog transient on a
 // private bench instance.
 func (s *BenchSource) Golden(req GoldenRequest) (trace.Trace, error) {
-	b, err := s.acquire()
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	out, err := b.Golden(req.Inputs, req.Until)
-	s.release(b)
-	return out, err
+	return use(&s.benchPool, func(b gate.Bench) (trace.Trace, error) { return b.Golden(req.Inputs, req.Until) })
 }
 
 // Leaser is implemented by golden sources that can lease a dedicated
@@ -141,11 +161,11 @@ func (l leasedBench) Golden(req GoldenRequest) (trace.Trace, error) {
 
 // Lease implements Leaser by pinning one pooled bench until release.
 func (s *BenchSource) Lease() (GoldenSource, func(), error) {
-	b, err := s.acquire()
+	b, release, err := s.lease()
 	if err != nil {
 		return nil, nil, err
 	}
-	return leasedBench{b: b}, func() { s.release(b) }, nil
+	return leasedBench{b: b}, release, nil
 }
 
 // GoldenKey is the content key of one golden run: the gate name, the

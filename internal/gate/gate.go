@@ -62,9 +62,9 @@ type Gate interface {
 	// the returned Subcircuit carries the created node IDs and the
 	// settled initial voltage of every created node in that input state
 	// (internal nodes isolated by the input state use the paper's worst
-	// case GND). For a gate stamped alone with all-low inputs the
-	// resulting circuit is device-for-device identical to its
-	// standalone bench.
+	// case GND). The gate's own bench (NewAnalogBench) is this call with
+	// all-low inputs on a fresh Testbench, so a single-gate netlist is
+	// device-for-device identical to it.
 	Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd spice.NodeID, in []spice.NodeID, init []bool) (Subcircuit, error)
 	// BuildModels parametrizes the Fig. 7 model set (per-pin inertial
 	// arcs, exp-channel, hybrid model with and without pure delay) from
@@ -199,23 +199,10 @@ func buildModels(g Gate, meas Measurement, norFrame hybrid.Characteristic,
 	return m, nil
 }
 
-// toCharacteristic converts the bench measurement struct into the hybrid
-// package's target type.
-func toCharacteristic(m nor.CharacteristicDelays) hybrid.Characteristic {
-	return hybrid.Characteristic{
-		FallMinusInf: m.FallMinusInf,
-		FallZero:     m.FallZero,
-		FallPlusInf:  m.FallPlusInf,
-		RiseMinusInf: m.RiseMinusInf,
-		RiseZero:     m.RiseZero,
-		RisePlusInf:  m.RisePlusInf,
-	}
-}
-
 // InputSignals converts digital traces into analog bench stimuli: one
 // raised-cosine edge train per input plus the transient breakpoints at
 // the edge starts. All inputs must start low. It is the one conversion
-// convention every golden run shares — the standalone benches and the
+// convention every golden run shares — the single-gate bench and the
 // netlist composer drive their input sources through it.
 func InputSignals(p nor.Params, inputs []trace.Trace) ([]waveform.Signal, []float64, error) {
 	sigs := make([]waveform.Signal, len(inputs))

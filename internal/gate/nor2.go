@@ -24,21 +24,14 @@ func (nor2) Describe() string     { return "2-input CMOS NOR, the paper's Fig. 1
 func (nor2) Arity() int           { return 2 }
 func (nor2) Logic(in []bool) bool { return !(in[0] || in[1]) }
 
-func (nor2) NewBench(p nor.Params) (Bench, error) {
-	b, err := nor.New(p)
-	if err != nil {
-		return nil, err
-	}
-	return &NOR2Bench{B: b}, nil
-}
+func (g nor2) NewBench(p nor.Params) (Bench, error) { return newBench(g, p) }
 
 // Stamp implements Gate: the Fig. 1 devices between the given input
-// nodes and a fresh output node, with the internal node N created first
-// (matching the standalone bench's node order). Settled voltages: the
-// output follows the NOR logic; N is VDD while the top pMOS conducts
-// (A low), tracks the low output while only the lower stack device
-// conducts (A high, B low), and takes the paper's worst case GND when
-// isolated in mode (1,1).
+// nodes and a fresh output node, with the internal node N created
+// first. Settled voltages: the output follows the NOR logic; N is VDD
+// while the top pMOS conducts (A low), tracks the low output while
+// only the lower stack device conducts (A high, B low), and takes the
+// paper's worst case GND when isolated in mode (1,1).
 func (g nor2) Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd spice.NodeID, in []spice.NodeID, init []bool) (Subcircuit, error) {
 	if err := stampArgs(g, p, in, init); err != nil {
 		return Subcircuit{}, err
@@ -81,51 +74,21 @@ func NOR2Arcs(c hybrid.Characteristic) inertial.Arcs {
 	}
 }
 
-// NOR2Bench adapts the transistor-level NOR testbench to the generic
-// Bench interface.
-type NOR2Bench struct {
-	B *nor.Bench
+// charlie implements analogGate: the paper's Fig. 2 experiments. Rising
+// inputs from (0,0) make the falling output, measured from the first
+// input (the parallel pull-downs); falling inputs from (1,1) make the
+// rising output, measured from the last input (the serial pull-up),
+// with N at the paper's worst case GND.
+func (nor2) charlie(p nor.Params, delta float64, outRising bool) Edge {
+	if outRising {
+		return Edge{Offsets: pairOffsets(delta), Tail: 400e-12, FromLast: true}
+	}
+	return Edge{Offsets: pairOffsets(delta), Rising: true, Fill: p.Supply.VDD, Tail: 300e-12}
 }
 
-// Gate implements Bench.
-func (b *NOR2Bench) Gate() Gate { return NOR2 }
-
-// Params implements Bench.
-func (b *NOR2Bench) Params() nor.Params { return b.B.P }
-
-// SolverStats exposes the underlying bench's cumulative MNA solver
-// counters for traffic reporting.
-func (b *NOR2Bench) SolverStats() spice.SolverStats { return b.B.SolverStats() }
-
-// Measure implements Bench: the six characteristic delays (worst-case
-// V_N = GND for the rising experiments, as in the paper) plus the SIS
-// arc mapping derived from them.
-func (b *NOR2Bench) Measure() (Measurement, error) {
-	c, err := b.B.Characteristic()
-	if err != nil {
-		return Measurement{}, err
-	}
-	pair := toCharacteristic(c)
-	return Measurement{Pair: pair, Arcs: NOR2Arcs(pair)}, nil
-}
-
-// Golden implements Bench: the analog transient over the input traces,
-// digitized at V_th. The bench starts settled in state (0,0) with the
-// output and internal node high.
-func (b *NOR2Bench) Golden(inputs []trace.Trace, until float64) (trace.Trace, error) {
-	if len(inputs) != 2 {
-		return trace.Trace{}, fmt.Errorf("gate nor2: want 2 inputs, got %d", len(inputs))
-	}
-	sigs, bps, err := InputSignals(b.B.P, inputs)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	supply := b.B.P.Supply
-	out, err := b.B.RunOutput(sigs[0], sigs[1], until, supply.VDD, supply.VDD, bps)
-	if err != nil {
-		return trace.Trace{}, fmt.Errorf("gate nor2: golden transient: %w", err)
-	}
-	return trace.Digitize(out, supply.Vth), nil
+// arcs implements analogGate with the NOR2Arcs mapping.
+func (nor2) arcs(_ *AnalogBench, pair hybrid.Characteristic) (inertial.Arcs, error) {
+	return NOR2Arcs(pair), nil
 }
 
 // NOR2Model applies the paper's closed-form 2-input hybrid NOR channel.

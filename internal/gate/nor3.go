@@ -35,13 +35,7 @@ func (nor3) Describe() string     { return "3-input CMOS NOR extension (three-de
 func (nor3) Arity() int           { return 3 }
 func (nor3) Logic(in []bool) bool { return !(in[0] || in[1] || in[2]) }
 
-func (nor3) NewBench(p nor.Params) (Bench, error) {
-	b, err := nor.NewNOR3(p)
-	if err != nil {
-		return nil, err
-	}
-	return &NOR3Bench{B: b}, nil
-}
+func (g nor3) NewBench(p nor.Params) (Bench, error) { return newBench(g, p) }
 
 // Stamp implements Gate: the three-deep stack with internal nodes N1
 // and N2 created first. Settled voltages follow the stack conduction
@@ -93,86 +87,43 @@ func (g nor3) BuildModels(meas Measurement, supply waveform.Supply, expDMin floa
 	})
 }
 
-// NOR3Bench adapts the transistor-level 3-input NOR testbench.
-type NOR3Bench struct {
-	B *nor.NOR3Bench
+// NOR3Edge is the 3-input NOR's edge experiment with inputs B and C
+// crossing dB and dC after A. Rising inputs from (0,0,0) make the
+// falling output, measured from the first input with the stack filled
+// from VDD; falling inputs from (1,1,1) make the rising output,
+// measured from the last input with the stack at the worst case GND.
+func NOR3Edge(p nor.Params, dB, dC float64, outRising bool) Edge {
+	if outRising {
+		return Edge{Offsets: []float64{0, dB, dC}, Tail: 600e-12, FromLast: true}
+	}
+	return Edge{Offsets: []float64{0, dB, dC}, Rising: true, Fill: p.Supply.VDD, Tail: 400e-12}
 }
 
-// Gate implements Bench.
-func (b *NOR3Bench) Gate() Gate { return NOR3 }
+// charlie implements analogGate: the pin-(0,1) experiments with pin C
+// parked far away (rising far later in the falling experiments,
+// falling far earlier in the rising ones), so the measured output
+// transition is a pure A/B event.
+func (nor3) charlie(p nor.Params, delta float64, outRising bool) Edge {
+	if outRising {
+		return NOR3Edge(p, delta, -farPin, true)
+	}
+	return NOR3Edge(p, delta, farPin, false)
+}
 
-// Params implements Bench.
-func (b *NOR3Bench) Params() nor.Params { return b.B.P }
-
-// SolverStats exposes the underlying bench's cumulative MNA solver
-// counters for traffic reporting.
-func (b *NOR3Bench) SolverStats() spice.SolverStats { return b.B.SolverStats() }
-
-// Measure implements Bench. The pair characteristic probes pins A and B
-// with pin C parked far away (rising far later in the falling
-// experiments, falling far earlier in the rising ones, so the measured
-// output transition is a pure A/B event); the per-pin arcs add the two
-// C-caused SIS delays the projection cannot see. Rising experiments use
-// the paper's worst-case internal fill V = GND.
-func (b *NOR3Bench) Measure() (Measurement, error) {
-	var m Measurement
+// arcs implements analogGate: pins 0 and 1 reuse the pair mapping; pin
+// 2 gets dedicated SIS probes (C switching isolated: first for falls,
+// last for rises).
+func (nor3) arcs(b *AnalogBench, pair hybrid.Characteristic) (inertial.Arcs, error) {
 	far := nor.SISFar
-	type probe struct {
-		dst    *float64
-		dB, dC float64
-		rise   bool
-	}
-	probes := []probe{
-		{&m.Pair.FallMinusInf, -far, farPin, false},
-		{&m.Pair.FallZero, 0, farPin, false},
-		{&m.Pair.FallPlusInf, far, farPin, false},
-		{&m.Pair.RiseMinusInf, -far, -farPin, true},
-		{&m.Pair.RiseZero, 0, -farPin, true},
-		{&m.Pair.RisePlusInf, far, -farPin, true},
-	}
-	for _, p := range probes {
-		var err error
-		if p.rise {
-			*p.dst, err = b.B.RisingDelay3(p.dB, p.dC, 0)
-		} else {
-			*p.dst, err = b.B.FallingDelay3(p.dB, p.dC)
-		}
-		if err != nil {
-			return Measurement{}, fmt.Errorf("gate nor3: pair characteristic: %w", err)
-		}
-	}
-	// Pins 0 and 1 reuse the pair mapping; pin 2 gets dedicated SIS
-	// probes (C switching isolated: first for falls, last for rises).
-	arcs := NOR2Arcs(m.Pair)
-	cFall, err := b.B.FallingDelay3(0, -far)
+	cFall, err := b.Delay(NOR3Edge(b.p, 0, -far, false))
 	if err != nil {
-		return Measurement{}, fmt.Errorf("gate nor3: pin C fall arc: %w", err)
+		return nil, fmt.Errorf("gate nor3: pin C fall arc: %w", err)
 	}
-	cRise, err := b.B.RisingDelay3(-far, far, 0)
+	cRise, err := b.Delay(NOR3Edge(b.p, -far, far, true))
 	if err != nil {
-		return Measurement{}, fmt.Errorf("gate nor3: pin C rise arc: %w", err)
+		return nil, fmt.Errorf("gate nor3: pin C rise arc: %w", err)
 	}
-	m.Arcs = append(arcs, inertial.PinArcs{Fall: cFall, Rise: cRise})
-	return m, nil
-}
-
-// Golden implements Bench. The bench starts settled in state (0,0,0):
-// output and both internal stack nodes high.
-func (b *NOR3Bench) Golden(inputs []trace.Trace, until float64) (trace.Trace, error) {
-	if len(inputs) != 3 {
-		return trace.Trace{}, fmt.Errorf("gate nor3: want 3 inputs, got %d", len(inputs))
-	}
-	sigs, bps, err := InputSignals(b.B.P, inputs)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	supply := b.B.P.Supply
-	vdd := supply.VDD
-	o, err := b.B.Run(sigs[0], sigs[1], sigs[2], until, vdd, vdd, vdd, bps)
-	if err != nil {
-		return trace.Trace{}, fmt.Errorf("gate nor3: golden transient: %w", err)
-	}
-	return trace.Digitize(o, supply.Vth), nil
+	return append(NOR2Arcs(pair), inertial.PinArcs{Fall: cFall, Rise: cRise}), nil
 }
 
 // NOR3Model applies the generalized switch-level hybrid channel of the

@@ -1,36 +1,31 @@
-package nor
+package nor_test
 
 import (
 	"testing"
 
+	"hybriddelay/internal/gate"
+	"hybriddelay/internal/nor"
 	"hybriddelay/internal/waveform"
 )
 
-func newNAND(t *testing.T) *NANDBench {
-	t.Helper()
-	p := DefaultParams()
-	p.MaxStep = 8e-12
-	b, err := NewNAND(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+func newNAND(t *testing.T) *gate.AnalogBench {
+	return newGateBench(t, gate.NAND2, fastParams())
 }
 
 func TestNANDNewValidation(t *testing.T) {
-	p := DefaultParams()
+	p := nor.DefaultParams()
 	p.CO = 0
-	if _, err := NewNAND(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NAND2, p); err == nil {
 		t.Error("zero CO accepted")
 	}
-	p = DefaultParams()
+	p = nor.DefaultParams()
 	p.InputRise = -1
-	if _, err := NewNAND(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NAND2, p); err == nil {
 		t.Error("negative rise accepted")
 	}
-	p = DefaultParams()
+	p = nor.DefaultParams()
 	p.Supply = waveform.Supply{}
-	if _, err := NewNAND(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NAND2, p); err == nil {
 		t.Error("invalid supply accepted")
 	}
 }
@@ -38,7 +33,7 @@ func TestNANDNewValidation(t *testing.T) {
 // TestNANDTruthTable: settled outputs for all four input states.
 func TestNANDTruthTable(t *testing.T) {
 	b := newNAND(t)
-	vdd := b.P.Supply.VDD
+	vdd := b.Params().Supply.VDD
 	cases := []struct {
 		a, bb float64
 		high  bool
@@ -49,12 +44,12 @@ func TestNANDTruthTable(t *testing.T) {
 		{vdd, vdd, false},
 	}
 	for _, c := range cases {
-		res, err := b.Run(waveform.Constant(c.a), waveform.Constant(c.bb),
+		res, err := b.Simulate([]waveform.Signal{waveform.Constant(c.a), waveform.Constant(c.bb)},
 			2e-9, vdd/2, vdd/2, nil)
 		if err != nil {
 			t.Fatalf("(%g, %g): %v", c.a, c.bb, err)
 		}
-		vo := res.O.At(2e-9)
+		vo := res.Out.At(2e-9)
 		if c.high && vo < 0.9*vdd {
 			t.Errorf("NAND(%g, %g) settled at %g, want ~VDD", c.a, c.bb, vo)
 		}
@@ -69,10 +64,7 @@ func TestNANDTruthTable(t *testing.T) {
 // (serial nMOS stack with node M).
 func TestNANDMISMirrored(t *testing.T) {
 	b := newNAND(t)
-	c, err := b.Characteristic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := characteristic(t, b)
 	// Rising output: MIS speed-up.
 	if !(c.RiseZero < c.RiseMinusInf && c.RiseZero < c.RisePlusInf) {
 		t.Errorf("NAND rising speed-up missing: %+v", c)
@@ -96,11 +88,13 @@ func TestNANDMISMirrored(t *testing.T) {
 // (the mirror of the paper's V_N worst-case discussion).
 func TestNANDWorstCaseM(t *testing.T) {
 	b := newNAND(t)
-	slow, err := b.FallingDelay(0, b.P.Supply.VDD)
+	slow, err := b.FallingDelay(0) // worst-case fill V_M = VDD
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := b.FallingDelay(0, 0)
+	e := b.Charlie(0, false)
+	e.Fill = 0
+	fast, err := b.Delay(e)
 	if err != nil {
 		t.Fatal(err)
 	}

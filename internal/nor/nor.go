@@ -1,18 +1,21 @@
-// Package nor builds the transistor-level 2-input CMOS NOR testbench of
-// the paper's Fig. 1 on top of the spice package and measures its MIS
-// (multiple-input-switching, "Charlie effect") delays. It plays the role
-// of the Spectre + FreePDK15 golden reference: Fig. 2 of the paper is a
-// product of this package.
+// Package nor holds what the transistor-level golden reference is made
+// of: the testbench parameter set (device models, loads, input rise
+// time, transient accuracy knobs and solver mode) and the device
+// topology of every gate, as Stamp helpers that write a gate's devices
+// into a shared spice circuit. The analog bench that drives them lives
+// next to Gate.Stamp in internal/gate; netlists compose the same
+// stamps, so every golden run builds on these helpers.
 //
-// Topology (Fig. 1): the pMOS transistors T1 (gate A) and T2 (gate B) are
-// stacked in series from VDD through the internal node N to the output O;
-// the nMOS transistors T3 (gate A) and T4 (gate B) pull O to ground in
-// parallel. C_N loads the internal node, C_O the output.
+// NOR topology (the paper's Fig. 1): the pMOS transistors T1 (gate A)
+// and T2 (gate B) are stacked in series from VDD through the internal
+// node N to the output O; the nMOS transistors T3 (gate A) and T4
+// (gate B) pull O to ground in parallel. C_N loads the internal node,
+// C_O the output. StampNAND2 is its structural dual, StampNOR3 the
+// three-deep extension.
 package nor
 
 import (
 	"fmt"
-	"math"
 
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/waveform"
@@ -98,25 +101,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Bench is an instantiated NOR testbench.
-//
-// A Bench is not safe for concurrent use: Run swaps the input-source
-// signals in place and the underlying spice devices integrate charge
-// state across timesteps. Use Clone to give each goroutine its own
-// instance.
-type Bench struct {
-	P Params
-
-	circuit *spice.Circuit
-	solver  *spice.Solver
-	nodeA   spice.NodeID
-	nodeB   spice.NodeID
-	nodeN   spice.NodeID
-	nodeO   spice.NodeID
-	srcA    *spice.VSource
-	srcB    *spice.VSource
-}
-
 // ValidateParams checks the parameter invariants shared by every bench
 // topology built from Params (NOR2, NAND2, NOR3 and netlist-composed
 // circuits). kind names the caller in error messages.
@@ -150,12 +134,12 @@ func SymbolicScope(kind string, p Params) string {
 // StampNOR2 writes the Fig. 1 NOR devices into c between existing nodes:
 // the pMOS stack VDD -> N -> O, the parallel nMOS pull-downs and the
 // internal/output load capacitors. Device names carry the given prefix
-// so several instances can share one circuit. The standalone bench and
-// the netlist composer both stamp through this helper, so the composed
-// topology can never drift from the golden-reference one; the device
-// order is part of the contract (MNA stamping order affects the
-// floating-point sums, and the single-gate composed circuit must stay
-// bit-identical to the bench).
+// so several instances can share one circuit. Every golden circuit — a
+// gate's own bench and the netlist composer — stamps through this
+// helper (via Gate.Stamp), so the composed topology can never drift
+// from the single-gate one; the device order is part of the contract
+// (MNA stamping order affects the floating-point sums, and a
+// single-gate netlist must stay bit-identical to the gate's bench).
 func StampNOR2(c *spice.Circuit, prefix string, p Params, vdd, a, b, n, o spice.NodeID) {
 	c.AddMOSFET(prefix+"T1", n, a, vdd, p.T1)
 	c.AddMOSFET(prefix+"T2", o, b, n, p.T2)
@@ -165,297 +149,44 @@ func StampNOR2(c *spice.Circuit, prefix string, p Params, vdd, a, b, n, o spice.
 	c.AddCapacitor(prefix+"Co", o, spice.Ground, p.CO)
 }
 
-// New builds the testbench netlist with placeholder (constant-low) input
-// sources; Run substitutes per-experiment stimuli.
-func New(p Params) (*Bench, error) {
-	if err := ValidateParams("nor", p); err != nil {
-		return nil, err
-	}
-	b := &Bench{P: p}
-	c := spice.NewCircuit()
-	vdd := c.Node("vdd")
-	b.nodeA = c.Node("a")
-	b.nodeB = c.Node("b")
-	b.nodeN = c.Node("n")
-	b.nodeO = c.Node("o")
-
-	c.AddDCVSource("Vdd", vdd, spice.Ground, p.Supply.VDD)
-	b.srcA = c.AddVSource("Va", b.nodeA, spice.Ground, waveform.Constant(0))
-	b.srcB = c.AddVSource("Vb", b.nodeB, spice.Ground, waveform.Constant(0))
-
-	StampNOR2(c, "", p, vdd, b.nodeA, b.nodeB, b.nodeN, b.nodeO)
-
-	b.circuit = c
-	// One persistent solver per bench: the circuit is validated once here
-	// and every Run reuses the same MNA workspace (matrix, RHS, LU)
-	// instead of re-allocating it per transient. Results are
-	// bit-identical to the per-call solver.
-	sv, err := spice.NewSolver(c)
-	if err != nil {
-		return nil, err
-	}
-	sv.SetSymbolicScope(SymbolicScope("nor2", p))
-	b.solver = sv
-	return b, nil
-}
-
-// Clone returns an independent bench with identical parameters and a
-// freshly built netlist. Params is a pure value type (scalars and value
-// structs only), so the clone shares no state with the original; clones
-// may run transients concurrently with it.
-func (b *Bench) Clone() (*Bench, error) {
-	return New(b.P)
-}
-
-// Result bundles the waveforms of one transient run.
-type Result struct {
-	A, B, N, O *waveform.Waveform
-	Supply     waveform.Supply
-}
-
-// transient runs one solver transient with the bench's step policy,
-// recording the given nodes. Record selection only affects capture —
-// the integrator's arithmetic (and hence every recorded sample) is
-// identical regardless of which nodes are kept.
-func (b *Bench) transient(sigA, sigB waveform.Signal, tStop float64, vN0, vO0 float64, breakpoints []float64, record []spice.NodeID) (*spice.TransientResult, error) {
-	b.srcA.Signal = sigA
-	b.srcB.Signal = sigB
-	return b.solver.Transient(spice.TransientOptions{
-		TStart:         0,
-		TStop:          tStop,
-		MaxStep:        b.P.MaxStep,
-		LTETol:         b.P.LTETol,
-		Method:         b.P.Method,
-		Solver:         b.P.Solver,
-		SparsePivotRel: b.P.SparsePivotRel,
-		Breakpoints:    append([]float64(nil), breakpoints...),
-		InitialConditions: map[spice.NodeID]float64{
-			b.nodeN: vN0,
-			b.nodeO: vO0,
-		},
-		Record: record,
-	})
-}
-
-// Run drives the bench with the given input signals over [0, tStop],
-// starting from the supplied initial node voltages for N and O (the
-// inputs and rails are held by their sources).
-func (b *Bench) Run(sigA, sigB waveform.Signal, tStop float64, vN0, vO0 float64, breakpoints []float64) (*Result, error) {
-	res, err := b.transient(sigA, sigB, tStop, vN0, vO0, breakpoints,
-		[]spice.NodeID{b.nodeA, b.nodeB, b.nodeN, b.nodeO})
-	if err != nil {
-		return nil, err
-	}
-	wa, err := res.Waveform(b.nodeA)
-	if err != nil {
-		return nil, err
-	}
-	wb, err := res.Waveform(b.nodeB)
-	if err != nil {
-		return nil, err
-	}
-	wn, err := res.Waveform(b.nodeN)
-	if err != nil {
-		return nil, err
-	}
-	wo, err := res.Waveform(b.nodeO)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{A: wa, B: wb, N: wn, O: wo, Supply: b.P.Supply}, nil
-}
-
-// RunOutput is Run restricted to the output node: the same transient
-// (bit-identical output samples), but only V(O) is captured and built
-// into a waveform. The golden evaluation path digitizes nothing but the
-// output, and on long random traces the three discarded columns
-// dominate the solver's allocations, so this is the hot entry point for
-// gate-level golden runs.
-func (b *Bench) RunOutput(sigA, sigB waveform.Signal, tStop float64, vN0, vO0 float64, breakpoints []float64) (*waveform.Waveform, error) {
-	res, err := b.transient(sigA, sigB, tStop, vN0, vO0, breakpoints, []spice.NodeID{b.nodeO})
-	if err != nil {
-		return nil, err
-	}
-	return res.Waveform(b.nodeO)
-}
-
-// edgePair builds raised-cosine input signals where input A crosses V_th
-// at tA and input B at tB, both with direction `rising`.
-func (b *Bench) edgePair(tA, tB float64, rising bool) (waveform.Signal, waveform.Signal) {
-	v0, v1 := 0.0, b.P.Supply.VDD
-	if !rising {
-		v0, v1 = v1, v0
-	}
-	sa := waveform.RaisedCosineEdge(tA, b.P.InputRise, v0, v1)
-	sb := waveform.RaisedCosineEdge(tB, b.P.InputRise, v0, v1)
-	return sa, sb
-}
-
-// FallingDelay measures the falling-output MIS delay
-// delta_fall(Delta) = tO - min(tA, tB) for input separation Delta =
-// tB - tA (both inputs rising). The gate starts settled in state (0,0)
-// with the output high.
-func (b *Bench) FallingDelay(delta float64) (float64, error) {
-	lead := 20*b.P.InputRise + 60e-12
-	tA := lead
-	tB := lead + delta
-	if delta < 0 {
-		tA = lead - delta
-		tB = lead
-	}
-	first := math.Min(tA, tB)
-	last := math.Max(tA, tB)
-	tStop := last + 300e-12
-	sa, sb := b.edgePair(tA, tB, true)
-	res, err := b.Run(sa, sb, tStop, b.P.Supply.VDD, b.P.Supply.VDD,
-		[]float64{tA - b.P.InputRise/2, tB - b.P.InputRise/2})
-	if err != nil {
-		return 0, err
-	}
-	tO, ok := res.O.FirstCrossingAfter(first-b.P.InputRise, b.P.Supply.Vth, false)
-	if !ok {
-		return 0, fmt.Errorf("nor: output never fell (delta=%g)", delta)
-	}
-	return tO - first, nil
-}
-
-// RisingDelay measures the rising-output MIS delay
-// delta_rise(Delta) = tO - max(tA, tB) for input separation Delta =
-// tB - tA (both inputs falling). The gate starts settled in state (1,1)
-// with the output low and the internal node at vN0 (the paper uses the
-// worst case vN0 = GND).
-func (b *Bench) RisingDelay(delta, vN0 float64) (float64, error) {
-	lead := 20*b.P.InputRise + 60e-12
-	tA := lead
-	tB := lead + delta
-	if delta < 0 {
-		tA = lead - delta
-		tB = lead
-	}
-	last := math.Max(tA, tB)
-	tStop := last + 400e-12
-	sa, sb := b.edgePair(tA, tB, false)
-	res, err := b.Run(sa, sb, tStop, vN0, 0,
-		[]float64{tA - b.P.InputRise/2, tB - b.P.InputRise/2})
-	if err != nil {
-		return 0, err
-	}
-	tO, ok := res.O.FirstCrossingAfter(0, b.P.Supply.Vth, true)
-	if !ok {
-		return 0, fmt.Errorf("nor: output never rose (delta=%g)", delta)
-	}
-	return tO - last, nil
-}
-
-// FallingWaveforms runs the falling-output experiment and returns the
-// waveforms (Fig. 2a).
-func (b *Bench) FallingWaveforms(delta float64) (*Result, error) {
-	lead := 20*b.P.InputRise + 60e-12
-	tA, tB := lead, lead+delta
-	if delta < 0 {
-		tA, tB = lead-delta, lead
-	}
-	sa, sb := b.edgePair(tA, tB, true)
-	return b.Run(sa, sb, math.Max(tA, tB)+300e-12, b.P.Supply.VDD, b.P.Supply.VDD,
-		[]float64{tA - b.P.InputRise/2, tB - b.P.InputRise/2})
-}
-
-// RisingWaveforms runs the rising-output experiment and returns the
-// waveforms (Fig. 2c).
-func (b *Bench) RisingWaveforms(delta, vN0 float64) (*Result, error) {
-	lead := 20*b.P.InputRise + 60e-12
-	tA, tB := lead, lead+delta
-	if delta < 0 {
-		tA, tB = lead-delta, lead
-	}
-	sa, sb := b.edgePair(tA, tB, false)
-	return b.Run(sa, sb, math.Max(tA, tB)+400e-12, vN0, 0,
-		[]float64{tA - b.P.InputRise/2, tB - b.P.InputRise/2})
-}
-
 // SISFar is the separation used to approximate Delta = +/- infinity,
 // matching the paper's 2e-10 s.
 const SISFar = 200e-12
 
-// CharacteristicDelays holds the six characteristic Charlie delays used
-// for parametrization (paper §V).
-type CharacteristicDelays struct {
-	FallMinusInf float64 // delta_fall(-inf): B rises long before A
-	FallZero     float64 // delta_fall(0)
-	FallPlusInf  float64 // delta_fall(+inf): A rises long before B
-	RiseMinusInf float64 // delta_rise(-inf): B falls long before A
-	RiseZero     float64 // delta_rise(0)
-	RisePlusInf  float64 // delta_rise(+inf): A falls long before B
+// StampNAND2 writes the dual NAND devices into c between existing
+// nodes: the serial nMOS stack GND -> M -> O, the parallel pMOS
+// pull-ups and the load capacitors, mirroring the NOR topology from the
+// same device parameters. Like StampNOR2 it is the single source of the
+// topology for every golden circuit, and the device order is part of
+// the contract.
+func StampNAND2(c *spice.Circuit, prefix string, p Params, vdd, a, b, m, o spice.NodeID) {
+	flip := func(mp spice.MOSParams) spice.MOSParams {
+		mp.PMOS = !mp.PMOS
+		return mp
+	}
+	// Duality: NOR T1 (pMOS A, VDD->N) -> nMOS A, M->GND (stack bottom);
+	// NOR T2 (pMOS B, N->O) -> nMOS B, O->M (stack top); NOR T3/T4
+	// (nMOS A/B to GND) -> pMOS A/B pull-ups.
+	c.AddMOSFET(prefix+"TNA", m, a, spice.Ground, flip(p.T1))
+	c.AddMOSFET(prefix+"TNB", o, b, m, flip(p.T2))
+	c.AddMOSFET(prefix+"TPA", o, a, vdd, flip(p.T3))
+	c.AddMOSFET(prefix+"TPB", o, b, vdd, flip(p.T4))
+	c.AddCapacitor(prefix+"Cm", m, spice.Ground, p.CN)
+	c.AddCapacitor(prefix+"Co", o, spice.Ground, p.CO)
 }
 
-// Characteristic measures the six characteristic delays of the bench
-// (worst-case vN0 = GND for the rising experiments, as in the paper).
-func (b *Bench) Characteristic() (CharacteristicDelays, error) {
-	var c CharacteristicDelays
-	var err error
-	if c.FallMinusInf, err = b.FallingDelay(-SISFar); err != nil {
-		return c, err
-	}
-	if c.FallZero, err = b.FallingDelay(0); err != nil {
-		return c, err
-	}
-	if c.FallPlusInf, err = b.FallingDelay(SISFar); err != nil {
-		return c, err
-	}
-	if c.RiseMinusInf, err = b.RisingDelay(-SISFar, 0); err != nil {
-		return c, err
-	}
-	if c.RiseZero, err = b.RisingDelay(0, 0); err != nil {
-		return c, err
-	}
-	if c.RisePlusInf, err = b.RisingDelay(SISFar, 0); err != nil {
-		return c, err
-	}
-	return c, nil
-}
-
-// SweepPoint is one (Delta, delay) sample of a MIS sweep.
-type SweepPoint struct {
-	Delta float64
-	Delay float64
-}
-
-// FallingSweep samples delta_fall over the given separations.
-func (b *Bench) FallingSweep(deltas []float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(deltas))
-	for _, d := range deltas {
-		v, err := b.FallingDelay(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Delta: d, Delay: v})
-	}
-	return out, nil
-}
-
-// RisingSweep samples delta_rise over the given separations with the
-// given internal-node initial value.
-func (b *Bench) RisingSweep(deltas []float64, vN0 float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(deltas))
-	for _, d := range deltas {
-		v, err := b.RisingDelay(d, vN0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Delta: d, Delay: v})
-	}
-	return out, nil
-}
-
-// Circuit exposes the underlying netlist (used by the evaluation pipeline
-// to run long random traces through the same golden bench).
-func (b *Bench) Circuit() *spice.Circuit { return b.circuit }
-
-// SolverStats returns the persistent solver's cumulative counters over
-// every transient this bench has run.
-func (b *Bench) SolverStats() spice.SolverStats { return b.solver.Stats() }
-
-// Nodes returns the IDs of (A, B, N, O).
-func (b *Bench) Nodes() (a, bb, n, o spice.NodeID) {
-	return b.nodeA, b.nodeB, b.nodeN, b.nodeO
+// StampNOR3 writes the 3-input NOR devices into c between existing
+// nodes: the three-deep pMOS stack VDD -> N1 -> N2 -> O, the three
+// parallel nMOS pull-downs and the load capacitors. Shared by every
+// golden circuit; device order is part of the contract (see StampNOR2).
+func StampNOR3(c *spice.Circuit, prefix string, p Params, vdd, a, b, cc, n1, n2, o spice.NodeID) {
+	c.AddMOSFET(prefix+"T1", n1, a, vdd, p.T1)
+	c.AddMOSFET(prefix+"T2", n2, b, n1, p.T2)
+	c.AddMOSFET(prefix+"T3", o, cc, n2, p.T2)
+	c.AddMOSFET(prefix+"T4", o, a, spice.Ground, p.T3)
+	c.AddMOSFET(prefix+"T5", o, b, spice.Ground, p.T4)
+	c.AddMOSFET(prefix+"T6", o, cc, spice.Ground, p.T4)
+	c.AddCapacitor(prefix+"Cn1", n1, spice.Ground, p.CN)
+	c.AddCapacitor(prefix+"Cn2", n2, spice.Ground, p.CN)
+	c.AddCapacitor(prefix+"Co", o, spice.Ground, p.CO)
 }

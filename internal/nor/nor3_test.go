@@ -1,37 +1,46 @@
-package nor
+package nor_test
 
 import (
 	"testing"
 
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/hybrid"
+	"hybriddelay/internal/nor"
 	"hybriddelay/internal/waveform"
 )
 
-func newNOR3(t *testing.T) *NOR3Bench {
-	t.Helper()
-	p := DefaultParams()
-	p.MaxStep = 8e-12
-	b, err := NewNOR3(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+func newNOR3(t *testing.T) *gate.AnalogBench {
+	return newGateBench(t, gate.NOR3, fastParams())
+}
+
+// fallingDelay3 is the NOR3 falling-output delay for rising inputs at
+// offsets (0, dB, dC) relative to input A.
+func fallingDelay3(b *gate.AnalogBench, dB, dC float64) (float64, error) {
+	return b.Delay(gate.NOR3Edge(b.Params(), dB, dC, false))
+}
+
+// risingDelay3 is the NOR3 rising-output delay for falling inputs at
+// offsets (0, dB, dC), with both stack nodes starting at fill.
+func risingDelay3(b *gate.AnalogBench, dB, dC, fill float64) (float64, error) {
+	e := gate.NOR3Edge(b.Params(), dB, dC, true)
+	e.Fill = fill
+	return b.Delay(e)
 }
 
 func TestNOR3Validation(t *testing.T) {
-	p := DefaultParams()
+	p := nor.DefaultParams()
 	p.CO = 0
-	if _, err := NewNOR3(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NOR3, p); err == nil {
 		t.Error("zero CO accepted")
 	}
-	p = DefaultParams()
+	p = nor.DefaultParams()
 	p.Supply = waveform.Supply{}
-	if _, err := NewNOR3(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NOR3, p); err == nil {
 		t.Error("invalid supply accepted")
 	}
-	p = DefaultParams()
+	p = nor.DefaultParams()
 	p.InputRise = 0
-	if _, err := NewNOR3(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NOR3, p); err == nil {
 		t.Error("zero rise accepted")
 	}
 }
@@ -41,15 +50,15 @@ func TestNOR3Validation(t *testing.T) {
 // predicts: all-simultaneous < pairwise < SIS.
 func TestNOR3AnalogMISOrdering(t *testing.T) {
 	b := newNOR3(t)
-	all, err := b.FallingDelay3(0, 0)
+	all, err := fallingDelay3(b, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := b.FallingDelay3(0, SISFar)
+	two, err := fallingDelay3(b, 0, nor.SISFar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sis, err := b.FallingDelay3(SISFar, 2*SISFar)
+	sis, err := fallingDelay3(b, nor.SISFar, 2*nor.SISFar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +79,8 @@ func TestNOR3AnalogMISOrdering(t *testing.T) {
 // (worst case) are slower than precharged ones.
 func TestNOR3AnalogRisingStack(t *testing.T) {
 	b3 := newNOR3(t)
-	p2 := DefaultParams()
-	p2.MaxStep = 8e-12
-	b2, err := New(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rise3, err := b3.RisingDelay3(0, 0, 0)
+	b2 := newGateBench(t, gate.NOR2, fastParams())
+	rise3, err := risingDelay3(b3, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +92,11 @@ func TestNOR3AnalogRisingStack(t *testing.T) {
 		t.Errorf("NOR3 rise(0)=%.2fps should exceed NOR2 rise(0)=%.2fps",
 			waveform.ToPs(rise3), waveform.ToPs(rise2))
 	}
-	worst, err := b3.RisingDelay3(0, 0, 0)
+	worst, err := risingDelay3(b3, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := b3.RisingDelay3(0, 0, b3.P.Supply.VDD)
+	pre, err := risingDelay3(b3, 0, 0, b3.Params().Supply.VDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,18 +115,18 @@ func TestNOR3ModelTracksAnalog(t *testing.T) {
 	// This test compares shapes, not absolute ps (the 3-input model is
 	// extrapolated, not fitted).
 	b := newNOR3(t)
-	all, err := b.FallingDelay3(0, 0)
+	all, err := fallingDelay3(b, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sis, err := b.FallingDelay3(SISFar, 2*SISFar)
+	sis, err := fallingDelay3(b, nor.SISFar, 2*nor.SISFar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	analogDip := (all - sis) / sis
 
 	// Model: extrapolate from a fit against the 2-input golden bench.
-	p2 := DefaultParams()
+	p2 := nor.DefaultParams()
 	p2.MaxStep = 8e-12
 	// Reuse the known-good archived characteristic rather than refitting
 	// (cheap and deterministic): measured values of the default bench.

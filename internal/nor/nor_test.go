@@ -1,35 +1,64 @@
-package nor
+package nor_test
+
+// The bench physics tests drive the stamped topologies through the one
+// analog bench of internal/gate (an external test package, so the
+// stamps are tested the way every golden run uses them).
 
 import (
 	"math"
 	"testing"
 
+	"hybriddelay/internal/gate"
+	"hybriddelay/internal/hybrid"
+	"hybriddelay/internal/nor"
 	"hybriddelay/internal/waveform"
 )
 
-func newBench(t *testing.T) *Bench {
+// newGateBench builds g's analog bench, failing the test on error.
+func newGateBench(t *testing.T, g gate.Gate, p nor.Params) *gate.AnalogBench {
 	t.Helper()
-	b, err := New(DefaultParams())
+	b, err := gate.NewAnalogBench(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// fastParams is the calibrated bench with the coarser integrator step.
+func fastParams() nor.Params {
+	p := nor.DefaultParams()
+	p.MaxStep = 8e-12
+	return p
+}
+
+func newBench(t *testing.T) *gate.AnalogBench {
+	return newGateBench(t, gate.NOR2, nor.DefaultParams())
+}
+
+// characteristic measures b's six Charlie delays.
+func characteristic(t *testing.T, b *gate.AnalogBench) hybrid.Characteristic {
+	t.Helper()
+	m, err := b.Measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Pair
+}
+
 func TestNewValidation(t *testing.T) {
-	p := DefaultParams()
+	p := nor.DefaultParams()
 	p.CN = 0
-	if _, err := New(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NOR2, p); err == nil {
 		t.Error("zero CN accepted")
 	}
-	p = DefaultParams()
+	p = nor.DefaultParams()
 	p.InputRise = 0
-	if _, err := New(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NOR2, p); err == nil {
 		t.Error("zero rise time accepted")
 	}
-	p = DefaultParams()
+	p = nor.DefaultParams()
 	p.Supply = waveform.Supply{}
-	if _, err := New(p); err == nil {
+	if _, err := gate.NewAnalogBench(gate.NOR2, p); err == nil {
 		t.Error("invalid supply accepted")
 	}
 }
@@ -38,7 +67,7 @@ func TestNewValidation(t *testing.T) {
 // transients).
 func TestTruthTable(t *testing.T) {
 	b := newBench(t)
-	vdd := b.P.Supply.VDD
+	vdd := b.Params().Supply.VDD
 	cases := []struct {
 		a, b float64
 		high bool
@@ -49,12 +78,12 @@ func TestTruthTable(t *testing.T) {
 		{vdd, vdd, false},
 	}
 	for _, c := range cases {
-		res, err := b.Run(waveform.Constant(c.a), waveform.Constant(c.b),
+		res, err := b.Simulate([]waveform.Signal{waveform.Constant(c.a), waveform.Constant(c.b)},
 			2e-9, vdd/2, vdd/2, nil)
 		if err != nil {
 			t.Fatalf("(%g, %g): %v", c.a, c.b, err)
 		}
-		vo := res.O.At(2e-9)
+		vo := res.Out.At(2e-9)
 		if c.high && vo < 0.9*vdd {
 			t.Errorf("NOR(%g, %g) settled at %g, want ~VDD", c.a, c.b, vo)
 		}
@@ -69,10 +98,7 @@ func TestTruthTable(t *testing.T) {
 // fall(+inf) > fall(-inf), and a dip of roughly 30%.
 func TestFig2FallingShape(t *testing.T) {
 	b := newBench(t)
-	c, err := b.Characteristic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := characteristic(t, b)
 	if !(c.FallZero < c.FallMinusInf && c.FallZero < c.FallPlusInf) {
 		t.Errorf("no falling speed-up: %+v", c)
 	}
@@ -94,10 +120,7 @@ func TestFig2FallingShape(t *testing.T) {
 // rise(-inf) > rise(+inf) (early A transition precharges node N).
 func TestFig2RisingShape(t *testing.T) {
 	b := newBench(t)
-	c, err := b.Characteristic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := characteristic(t, b)
 	if !(c.RiseZero > c.RiseMinusInf && c.RiseZero > c.RisePlusInf) {
 		t.Errorf("no rising slow-down: %+v", c)
 	}
@@ -122,20 +145,20 @@ func TestFallingWaveformShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vdd := b.P.Supply.VDD
-	if res.O.At(0) < 0.95*vdd {
+	vdd := b.Params().Supply.VDD
+	if res.Out.At(0) < 0.95*vdd {
 		t.Error("output must start high")
 	}
-	end := res.O.End()
-	if res.O.At(end) > 0.05*vdd {
+	end := res.Out.End()
+	if res.Out.At(end) > 0.05*vdd {
 		t.Error("output must end low")
 	}
 	// Inputs cross the threshold 30 ps apart.
-	ca, ok := res.A.FirstCrossingAfter(0, b.P.Supply.Vth, true)
+	ca, ok := res.In[0].FirstCrossingAfter(0, b.Params().Supply.Vth, true)
 	if !ok {
 		t.Fatal("input A never crossed")
 	}
-	cb, ok := res.B.FirstCrossingAfter(0, b.P.Supply.Vth, true)
+	cb, ok := res.In[1].FirstCrossingAfter(0, b.Params().Supply.Vth, true)
 	if !ok {
 		t.Fatal("input B never crossed")
 	}
@@ -152,20 +175,20 @@ func TestRisingWaveformShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vdd := b.P.Supply.VDD
+	vdd := b.Params().Supply.VDD
 	// Find the later input's crossing and the output crossing.
-	cb, ok := res.B.FirstCrossingAfter(0, b.P.Supply.Vth, false)
+	cb, ok := res.In[1].FirstCrossingAfter(0, b.Params().Supply.Vth, false)
 	if !ok {
 		t.Fatal("input B never fell")
 	}
-	co, ok := res.O.FirstCrossingAfter(0, b.P.Supply.Vth, true)
+	co, ok := res.Out.FirstCrossingAfter(0, b.Params().Supply.Vth, true)
 	if !ok {
 		t.Fatal("output never rose")
 	}
 	if co <= cb {
 		t.Error("output rose before the later input fell")
 	}
-	if res.O.At(res.O.End()) < 0.9*vdd {
+	if res.Out.At(res.Out.End()) < 0.9*vdd {
 		t.Error("output must end high")
 	}
 }
@@ -178,7 +201,7 @@ func TestRisingVNWorstCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := b.RisingDelay(0, b.P.Supply.VDD)
+	fast, err := b.RisingDelay(0, b.Params().Supply.VDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +218,7 @@ func TestSweepMonotoneTails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := b.FallingDelay(SISFar)
+	d2, err := b.FallingDelay(nor.SISFar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +253,10 @@ func TestSweepsAPI(t *testing.T) {
 
 func TestNodesAndCircuit(t *testing.T) {
 	b := newBench(t)
-	a, bb, n, o := b.Nodes()
-	ids := map[int]bool{int(a): true, int(bb): true, int(n): true, int(o): true}
-	if len(ids) != 4 {
-		t.Error("node IDs not distinct")
+	// Ground, vdd, the inputs a and b, the internal node n and the
+	// output o, each created once.
+	if n := b.Circuit().NumNodes(); n != 6 {
+		t.Errorf("bench has %d nodes, want 6 (ground, vdd, a, b, n, o)", n)
 	}
 	if b.Circuit() == nil {
 		t.Error("circuit accessor nil")

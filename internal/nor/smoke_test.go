@@ -1,4 +1,4 @@
-package nor
+package nor_test
 
 import (
 	"testing"
@@ -9,14 +9,7 @@ import (
 // TestSmokeDelays exercises the full analog path end to end and prints
 // the characteristic delays; detailed assertions live in nor_test.go.
 func TestSmokeDelays(t *testing.T) {
-	b, err := New(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.Characteristic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := characteristic(t, newBench(t))
 	t.Logf("fall: -inf=%.2fps 0=%.2fps +inf=%.2fps", waveform.ToPs(c.FallMinusInf), waveform.ToPs(c.FallZero), waveform.ToPs(c.FallPlusInf))
 	t.Logf("rise: -inf=%.2fps 0=%.2fps +inf=%.2fps", waveform.ToPs(c.RiseMinusInf), waveform.ToPs(c.RiseZero), waveform.ToPs(c.RisePlusInf))
 	if c.FallZero >= c.FallMinusInf || c.FallZero >= c.FallPlusInf {

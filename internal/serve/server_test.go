@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/nor"
@@ -221,6 +223,28 @@ func TestServeSpecValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d (want 404)", ep, resp.StatusCode)
 		}
+	}
+}
+
+// TestServeRejectsHugeSweepGrid: a small sweep body whose axes expand
+// past sweep.MaxScenarios (300 x 300 x 1) is answered 400 at submit,
+// without the server allocating the scenario list.
+func TestServeRejectsHugeSweepGrid(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	grid := sweep.Spec{Stimuli: []sweep.Stimulus{testStimulus(1)}}
+	for i := 0; i < 300; i++ {
+		grid.VDDScale = append(grid.VDDScale, 1+float64(i)/1000)
+		grid.LoadScale = append(grid.LoadScale, 1+float64(i)/1000)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, status, body := trySubmit(t, hs.URL, JobSpec{Kind: session.KindSweep, Sweep: &grid}, "")
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest || !strings.Contains(body, "grid expands to 90000 scenarios, exceeds 65536") {
+		t.Fatalf("status %d (want 400): %s", status, body)
+	}
+	if grew, list := after.TotalAlloc-before.TotalAlloc, 90000*uint64(unsafe.Sizeof(sweep.Scenario{})); grew >= list {
+		t.Errorf("submit allocated %d bytes before rejecting (the scenario list is %d)", grew, list)
 	}
 }
 

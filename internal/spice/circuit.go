@@ -32,7 +32,7 @@ const Ground NodeID = 0
 // devices (Capacitor, MOSFET) carry charge state across timesteps and
 // VSource signals are swapped per experiment, so at most one analysis
 // may run on a circuit at a time. Build a separate circuit per
-// goroutine (cf. nor.Bench.Clone).
+// goroutine (cf. gate.AnalogBench.Clone).
 type Circuit struct {
 	nodeNames []string // index = NodeID
 	nodeIndex map[string]NodeID

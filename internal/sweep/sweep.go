@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -106,11 +107,18 @@ type Spec struct {
 	Bench *nor.Params `json:"-"`
 }
 
-// MaxSeedCount bounds a generated seed list (Spec.SeedCount, and a
-// served job's seed_count). The list is allocated before any unit
-// runs, so an unbounded count from an untrusted grid would exhaust
-// memory before the job could fail.
+// MaxSeedCount bounds a grid's seed list (Spec.SeedCount or an
+// explicit Spec.Seeds, and a served job's seed_count). The list is
+// allocated before any unit runs, so an unbounded count from an
+// untrusted grid would exhaust memory before the job could fail.
 const MaxSeedCount = 1 << 16
+
+// MaxScenarios bounds the scenario count a grid may expand to: the
+// product of its topology, VDD-scale, load-scale and stimulus axis
+// lengths. Expand allocates the scenario list up front (and a served
+// sweep is expanded at submit to validate it), so a small body with
+// long axes must be rejected before that allocation.
+const MaxScenarios = 1 << 16
 
 // Scenario is one expanded grid point: a gate — or a whole circuit —
 // at one operating point under one stimulus configuration.
@@ -271,6 +279,9 @@ func Expand(spec Spec) ([]Scenario, error) {
 	if spec.SeedCount > MaxSeedCount {
 		return nil, fmt.Errorf("sweep: seed_count %d exceeds %d", spec.SeedCount, MaxSeedCount)
 	}
+	if len(spec.Seeds) > MaxSeedCount {
+		return nil, fmt.Errorf("sweep: %d seeds exceed %d", len(spec.Seeds), MaxSeedCount)
+	}
 	seenSeed := map[int64]bool{}
 	for _, s := range spec.SeedList() {
 		if seenSeed[s] {
@@ -278,8 +289,19 @@ func Expand(spec Spec) ([]Scenario, error) {
 		}
 		seenSeed[s] = true
 	}
+	n := uint64(1)
+	for _, k := range []int{len(gates) + len(spec.Circuits), len(vdds), len(loads), len(spec.Stimuli)} {
+		hi, lo := bits.Mul64(n, uint64(k))
+		if hi != 0 {
+			return nil, fmt.Errorf("sweep: grid expands to more than 2^64 scenarios, exceeds %d", MaxScenarios)
+		}
+		n = lo
+	}
+	if n > MaxScenarios {
+		return nil, fmt.Errorf("sweep: grid expands to %d scenarios, exceeds %d", n, MaxScenarios)
+	}
 	base := spec.baseParams()
-	out := make([]Scenario, 0, (len(gates)+len(spec.Circuits))*len(vdds)*len(loads)*len(spec.Stimuli))
+	out := make([]Scenario, 0, n)
 	add := func(label string, inputs int, circuit *netlist.Netlist) {
 		for _, vdd := range vdds {
 			for _, load := range loads {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gen"
@@ -145,6 +147,34 @@ func TestExpandValidation(t *testing.T) {
 	}
 	if scenarios[0].Gate != "nor2" || scenarios[0].VDDScale != 1 || scenarios[0].LoadScale != 1 {
 		t.Errorf("default scenario = %+v", scenarios[0])
+	}
+}
+
+// hugeGrid is a 300 x 300 x 1 grid: 90,000 scenarios of the default
+// gate, beyond MaxScenarios.
+func hugeGrid() Spec {
+	spec := Spec{Stimuli: testStimuli(10)[:1]}
+	for i := 0; i < 300; i++ {
+		spec.VDDScale = append(spec.VDDScale, 1+float64(i)/1000)
+		spec.LoadScale = append(spec.LoadScale, 1+float64(i)/1000)
+	}
+	return spec
+}
+
+// TestExpandRejectsHugeGrid: a grid whose axis product exceeds
+// MaxScenarios is rejected before the scenario list is allocated.
+func TestExpandRejectsHugeGrid(t *testing.T) {
+	spec := hugeGrid()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Expand(spec)
+	runtime.ReadMemStats(&after)
+	want := "sweep: grid expands to 90000 scenarios, exceeds 65536"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Expand error = %v, want %q", err, want)
+	}
+	if grew, list := after.TotalAlloc-before.TotalAlloc, 90000*uint64(unsafe.Sizeof(Scenario{})); grew >= list {
+		t.Errorf("Expand allocated %d bytes before rejecting (the scenario list is %d)", grew, list)
 	}
 }
 

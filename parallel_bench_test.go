@@ -25,7 +25,7 @@ const parallelBenchWorkers = 4
 
 // fig7ParallelSetup returns the shared golden bench and the paper
 // configurations at the same reduced size BenchmarkFig7Accuracy uses.
-func fig7ParallelSetup(b *testing.B) (*nor.Bench, eval.Models, []gen.Config, []int64) {
+func fig7ParallelSetup(b *testing.B) (*gate.AnalogBench, eval.Models, []gen.Config, []int64) {
 	bench, _, models := setupGolden(b)
 	configs := gen.PaperConfigs()
 	for i := range configs {
@@ -47,7 +47,7 @@ func serialBaseline(b *testing.B) float64 {
 	serialBaselineState.once.Do(func() {
 		start := time.Now()
 		for _, cfg := range configs {
-			if _, err := eval.Evaluate(bench, models, cfg, seeds); err != nil {
+			if _, err := eval.EvaluateBench(bench, models, cfg, seeds); err != nil {
 				serialBaselineState.err = err
 				return
 			}
@@ -67,7 +67,7 @@ func BenchmarkEvaluateSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range configs {
-			if _, err := eval.Evaluate(bench, models, cfg, seeds); err != nil {
+			if _, err := eval.EvaluateBench(bench, models, cfg, seeds); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +89,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	bench, models, configs, seeds := fig7ParallelSetup(b)
 	serial := serialBaseline(b)
 	s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
-	job := GateJob{Bench: &gate.NOR2Bench{B: bench}, Models: &models, Configs: configs, Seeds: seeds, NoCache: true}
+	job := GateJob{Bench: bench, Models: &models, Configs: configs, Seeds: seeds, NoCache: true}
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -162,7 +162,7 @@ func BenchmarkEvaluateParallelCached(b *testing.B) {
 	serial := serialBaseline(b)
 	cache := eval.NewGoldenCache()
 	s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
-	job := GateJob{Bench: &gate.NOR2Bench{B: bench}, Models: &models, Configs: configs, Seeds: seeds, Cache: cache}
+	job := GateJob{Bench: bench, Models: &models, Configs: configs, Seeds: seeds, Cache: cache}
 	evaluateGateJob(b, s, job) // warm the cache
 	b.ResetTimer()
 	start := time.Now()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hybriddelay/internal/eval"
-	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
@@ -41,7 +40,7 @@ func facadeModels(t *testing.T) (*Bench, Models) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
+	m, err := BuildModels(target, b.Params().Supply, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +71,13 @@ func TestEvaluateParallelDelegatesBitIdentical(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	s := NewSession(SessionOptions{})
 	for _, cfg := range propertyConfigs(2) {
-		want, err := eval.EvaluateBench(&gate.NOR2Bench{B: bench}, m, cfg, seeds)
+		want, err := eval.EvaluateBench(bench, m, cfg, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for workers := 1; workers <= 4; workers++ {
 			got, err := s.Evaluate(context.Background(), GateJob{
-				Bench: &gate.NOR2Bench{B: bench}, Models: &m,
+				Bench: bench, Models: &m,
 				Configs: []TraceConfig{cfg}, Seeds: seeds, Workers: workers, NoCache: true,
 			})
 			if err != nil {
