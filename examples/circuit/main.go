@@ -1,10 +1,14 @@
-// circuit composes a small multi-gate circuit through the netlist API:
-// a declarative description of a hybrid 2-input NOR (the paper's model,
-// carrying MIS state) feeding a three-stage inverter chain, elaborated
-// into the event-driven simulator with a custom per-instance channel
-// policy — the NOR gets the stateful hybrid channel, each inverter an
-// involution exp-channel. It demonstrates how MIS-induced glitches at
-// the NOR output propagate — or die — down the chain.
+// circuit composes a small multi-gate circuit from the offline channel
+// pieces: the paper's hybrid 2-input NOR (carrying MIS state) feeding a
+// three-stage inverter chain, where each inverter is a zero-time
+// tied-input NOR followed by an involution exp-channel. It demonstrates
+// how MIS-induced glitches at the NOR output propagate — or die — down
+// the chain.
+//
+// This is the per-instance dataflow a Session CircuitJob runs on its
+// model side (the same circuit ships as the "nor-invchain" netlist); a
+// CircuitJob scores it against the composed analog golden instead of
+// counting transitions.
 //
 // Run with:
 //
@@ -20,64 +24,27 @@ import (
 
 func main() {
 	p := hybriddelay.TableI()
-
-	// The circuit: NOR(a, b) -> three tied-input NOR2 instances acting
-	// as inverters (NOR(x, x) = NOT x). The same description could be
-	// flattened into a composed analog golden with NewCircuitBench or
-	// scored per net with a Session CircuitJob.
-	nl := &hybriddelay.Netlist{
-		Name:   "nor-invchain",
-		Inputs: []string{"a", "b"},
-		Instances: []hybriddelay.NetlistInstance{
-			{Name: "nor", Gate: "nor2", Inputs: []string{"a", "b"}, Output: "nor_out"},
-			{Name: "inv1", Gate: "nor2", Inputs: []string{"nor_out", "nor_out"}, Output: "y1"},
-			{Name: "inv2", Gate: "nor2", Inputs: []string{"y1", "y1"}, Output: "y2"},
-			{Name: "inv3", Gate: "nor2", Inputs: []string{"y2", "y2"}, Output: "y3"},
-		},
-	}
-
-	// The per-instance channel policy: the paper's hybrid NOR channel
-	// (V_N worst case GND) at the front, involution exp-channels behind
-	// the zero-time inverters.
 	exp := hybriddelay.ExpChannel{TauUp: 30e-12, TauDown: 25e-12, DMin: 8e-12}
-	wire := func(sim *hybriddelay.Simulator, inst hybriddelay.NetlistInstance,
-		g hybriddelay.GateSpec, in []*hybriddelay.Net, out *hybriddelay.Net) error {
-		if inst.Name == "nor" {
-			_, err := hybriddelay.NewNORChannel(sim, p, in[0], in[1], out, 0)
-			return err
-		}
-		raw := hybriddelay.NewNet(inst.Name+"_raw", false)
-		if _, err := hybriddelay.NewGate(inst.Name, g.Logic, in, raw); err != nil {
-			return err
-		}
-		hybriddelay.NewChannel(sim, inst.Name+"_ch", raw, out, exp, hybriddelay.PolicyInvolution)
-		return nil
-	}
 
 	run := func(sepPs float64) (norEvents, outEvents int) {
-		sim := hybriddelay.NewSimulator()
-		// Both inputs start high: the NOR output starts low.
-		nets, err := hybriddelay.ElaborateNetlist(nl, sim, map[string]bool{"a": true, "b": true}, wire)
+		// Stimulus: both inputs start high (the NOR output starts low)
+		// and drop, then input A rises again sepPs later — producing an
+		// output pulse of roughly sepPs width at the NOR, which the chain
+		// may or may not carry.
+		t0 := hybriddelay.Ps(500)
+		a := hybriddelay.NewTrace(true, t0, t0+hybriddelay.Ps(sepPs))
+		b := hybriddelay.NewTrace(true, t0)
+		// The paper's hybrid NOR channel, V_N worst case GND.
+		nor, err := hybriddelay.ApplyNOR(p, a, b, 10e-9, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		nets["nor_out"].Record()
-		nets["y3"].Record()
-
-		// Stimulus: both inputs drop (NOR output rises), then input A
-		// rises again sepPs later — producing an output pulse of roughly
-		// sepPs width at the NOR, which the chain may or may not carry.
-		t0 := hybriddelay.Ps(500)
-		if err := hybriddelay.Drive(sim, nets["a"], hybriddelay.NewTrace(true, t0, t0+hybriddelay.Ps(sepPs))); err != nil {
-			log.Fatal(err)
+		// Three inverters: NOR(y, y) = NOT y, then the exp-channel.
+		y := nor
+		for range 3 {
+			y = hybriddelay.ApplyDelay(hybriddelay.NOR2Trace(y, y), exp, hybriddelay.PolicyInvolution)
 		}
-		if err := hybriddelay.Drive(sim, nets["b"], hybriddelay.NewTrace(true, t0)); err != nil {
-			log.Fatal(err)
-		}
-		if err := sim.Run(10e-9); err != nil {
-			log.Fatal(err)
-		}
-		return nets["nor_out"].Trace().NumEvents(), nets["y3"].Trace().NumEvents()
+		return nor.NumEvents(), y.NumEvents()
 	}
 
 	fmt.Println("pulse created at the NOR by re-raising input A after `sep`:")

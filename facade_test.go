@@ -75,57 +75,35 @@ func TestFacadeNOR3(t *testing.T) {
 	}
 }
 
-// TestFacadeCircuit: the circuit-composition API end to end — a hybrid
-// NOR channel into an inverter chain.
+// TestFacadeCircuit: circuit composition from the offline pieces end
+// to end — a hybrid NOR channel into an inverter chain.
 func TestFacadeCircuit(t *testing.T) {
 	p := TableI()
-	sim := NewSimulator()
-	a := NewNet("a", false)
-	b := NewNet("b", false)
-	norOut := NewNet("nor", false)
-	norOut.Record()
-	if _, err := NewNORChannel(sim, p, a, b, norOut, p.Supply.VDD); err != nil {
-		t.Fatal(err)
-	}
-	if !norOut.Value() {
-		t.Fatal("NOR of (0,0) must start high")
-	}
-	exp := ExpChannel{TauUp: 20e-12, TauDown: 20e-12, DMin: 5e-12}
-	out, err := InverterChain(sim, norOut, 2, func(i int, from, to *Net) {
-		NewChannel(sim, "c", from, to, exp, PolicyInvolution)
-	})
+	norTr, err := ApplyNOR(p, NewTrace(false, 500e-12), NewTrace(false), 5e-9, p.Supply.VDD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.Record()
-	if err := Drive(sim, a, NewTrace(false, 500e-12)); err != nil {
-		t.Fatal(err)
+	if !norTr.Initial {
+		t.Fatal("NOR of (0,0) must start high")
 	}
-	if err := sim.Run(5e-9); err != nil {
-		t.Fatal(err)
+	exp := ExpChannel{TauUp: 20e-12, TauDown: 20e-12, DMin: 5e-12}
+	outTr := norTr
+	for range 2 { // NOR(y, y) = NOT y, then the exp channel
+		outTr = ApplyDelay(NOR2Trace(outTr, outTr), exp, PolicyInvolution)
 	}
-	norTr := norOut.Trace()
-	outTr := out.Trace()
 	if norTr.NumEvents() != 1 || norTr.Events[0].Value {
 		t.Fatalf("NOR trace %+v", norTr.Events)
 	}
 	if outTr.NumEvents() != 1 {
 		t.Fatalf("chain trace %+v", outTr.Events)
 	}
-	// Two inverters preserve polarity; total delay = NOR fall +
-	// 2 * exp-channel delta(inf).
-	wantFall, err := p.FallingDelay(200e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = wantFall // SIS fall for A-only transition:
+	// Two inverters preserve polarity; total delay = NOR SIS fall (an
+	// A-only transition) + 2 * exp-channel delta(inf).
 	fall, err := p.FallingDelay(SISFarFacadeProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 500e-12 + fall + 2*(exp.DMin+exp.TauUp*math.Ln2)
-	// The chain alternates rise/fall; the second stage delay uses
-	// TauDown... compute loosely: within a few ps.
 	if math.Abs(outTr.Events[0].Time-want) > 5e-12 {
 		t.Errorf("chain output at %g, want ~%g", outTr.Events[0].Time, want)
 	}
@@ -133,23 +111,6 @@ func TestFacadeCircuit(t *testing.T) {
 
 // SISFarFacadeProbe mirrors hybrid.SISFar for facade-level tests.
 const SISFarFacadeProbe = 200e-12
-
-// TestFacadeGateFns: gate function re-exports.
-func TestFacadeGateFns(t *testing.T) {
-	if FnInv([]bool{true}) || !FnBuf([]bool{true}) {
-		t.Error("inverter/buffer wrong")
-	}
-	if FnNOR2([]bool{true, false}) || !FnNAND2([]bool{true, false}) {
-		t.Error("nor/nand wrong")
-	}
-	if !FnAND2([]bool{true, true}) || !FnOR2([]bool{false, true}) || FnXOR2([]bool{true, true}) {
-		t.Error("and/or/xor wrong")
-	}
-	g, err := NewGate("inv", FnInv, []*Net{NewNet("x", false)}, NewNet("y", false))
-	if err != nil || g == nil {
-		t.Fatal(err)
-	}
-}
 
 // TestFacadeEvaluateSmall: the full public evaluation path at tiny size.
 func TestFacadeEvaluateSmall(t *testing.T) {

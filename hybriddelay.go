@@ -7,10 +7,10 @@
 //
 // together with every substrate the paper's evaluation depends on: a
 // transistor-level analog circuit simulator standing in for the SPICE
-// golden reference, an event-driven digital timing simulator standing in
-// for the Involution Tool, involution (IDM) and inertial delay channels,
-// random trace generation, and the least-squares parametrization
-// machinery.
+// golden reference, offline digital delay channels standing in for the
+// Involution Tool (the hybrid NOR/NAND channel, involution (IDM) and
+// inertial delay channels), random trace generation, and the
+// least-squares parametrization machinery.
 //
 // # The model in one paragraph
 //
@@ -39,7 +39,9 @@
 //	                   and the one analog bench every golden run uses:
 //	                   Stamp, Charlie measurement and model
 //	                   parametrization behind one Gate interface
-//	internal/dtsim   - event-driven digital timing simulator
+//	internal/dtsim   - single-input delay channels: offline ApplyDelay
+//	                   and the event-queue reference it is checked
+//	                   against
 //	internal/idm     - involution (exp / sum-exp) channels
 //	internal/inertial- pure/inertial and arity-generic per-pin arc
 //	                   baselines
@@ -457,9 +459,8 @@ func DefaultGate() GateSpec { return gate.Default() }
 // Netlist API: declarative multi-gate circuits over registered gates,
 // elaborated down both sides of the accuracy pipeline — flattened into
 // one composed transistor-level golden circuit on the analog side, and
-// into either the event-driven simulator (with a pluggable per-gate
-// channel policy) or the offline per-gate delay models on the digital
-// side, with per-net accuracy scoring.
+// walked through the offline per-instance delay models in topological
+// order on the digital side, with per-net accuracy scoring.
 
 // Netlist is a multi-gate circuit description: instances of registered
 // gates wired by named nets, validated for arity, single drivers and
@@ -485,12 +486,7 @@ type CircuitResult = eval.CircuitResult
 // CircuitSeedResult is the outcome of one circuit (config, seed) unit.
 type CircuitSeedResult = eval.CircuitSeedResult
 
-// NetlistChannelBuilder realizes one instance's delay behaviour when a
-// netlist is elaborated into the event-driven simulator.
-type NetlistChannelBuilder = netlist.ChannelBuilder
-
-// Model names of the Fig. 7 legend, as used in result maps and by
-// WireNetlistModel.
+// Model names of the Fig. 7 legend, as used in result maps.
 const (
 	ModelInertial = gate.ModelInertial
 	ModelExp      = gate.ModelExp
@@ -522,20 +518,6 @@ func NewCircuitBench(nl *Netlist, p BenchParams) (*CircuitBench, error) {
 // channel's empirical pure delay, paper: 20 ps).
 func BuildNetlistModels(nl *Netlist, p BenchParams, expDMin float64) (NetlistModels, error) {
 	return netlist.BuildModelSet(nl, p, expDMin)
-}
-
-// ElaborateNetlist builds a netlist into the event-driven simulator:
-// one net per named net (primary inputs initialized from initial) and
-// one wire call per instance in topological order.
-func ElaborateNetlist(nl *Netlist, sim *Simulator, initial map[string]bool, wire NetlistChannelBuilder) (map[string]*Net, error) {
-	return netlist.Elaborate(nl, sim, initial, wire)
-}
-
-// WireNetlistModel returns the standard per-gate channel policy
-// realizing one named delay model (ModelInertial, ModelExp, ModelHM,
-// ModelHMNoDMin) from a model set.
-func WireNetlistModel(ms NetlistModels, model string) NetlistChannelBuilder {
-	return netlist.WireModel(ms, model)
 }
 
 // Scenario-sweep API: fan whole grids of operating points (gate ×
@@ -628,63 +610,6 @@ func NOR3FromNOR2(p ModelParams) NOR3Params { return hybrid.NOR3FromNOR2(p) }
 
 // DelayFunc is a single-history delay function pair delta_up/down(T).
 type DelayFunc = dtsim.DelayFunc
-
-// Circuit-composition API (the Involution Tool substitute): build
-// netlists of zero-time gates and delay channels and simulate them
-// event-driven.
-
-// Simulator is the event-driven digital timing simulator.
-type Simulator = dtsim.Simulator
-
-// Net is a named boolean signal in a simulated circuit.
-type Net = dtsim.Net
-
-// Gate is a zero-time boolean function between nets.
-type Gate = dtsim.Gate
-
-// NewSimulator returns an empty simulator at time zero.
-func NewSimulator() *Simulator { return dtsim.NewSimulator() }
-
-// NewNet returns a net with the given initial value.
-func NewNet(name string, initial bool) *Net { return dtsim.NewNet(name, initial) }
-
-// NewGate wires a zero-time boolean function from input nets to an
-// output net.
-func NewGate(name string, fn func([]bool) bool, inputs []*Net, out *Net) (*Gate, error) {
-	return dtsim.NewGate(name, fn, inputs, out)
-}
-
-// NewChannel wires a single-input delay channel between two nets with
-// the given cancellation policy.
-func NewChannel(sim *Simulator, name string, in, out *Net, df DelayFunc, policy ChannelPolicy) *dtsim.Channel {
-	return dtsim.NewChannelWithPolicy(sim, name, in, out, df, policy)
-}
-
-// NewNORChannel wires the paper's 2-input hybrid NOR channel between two
-// input nets and an output net.
-func NewNORChannel(sim *Simulator, p ModelParams, a, b, out *Net, vn0 float64) (*hybrid.Channel, error) {
-	return hybrid.NewChannel(sim, p, a, b, out, vn0)
-}
-
-// Drive schedules a trace's transitions onto a net.
-func Drive(sim *Simulator, n *Net, tr Trace) error { return dtsim.Drive(sim, n, tr) }
-
-// InverterChain builds a chain of inverters, each followed by a channel
-// created by mkChannel, and returns the final output net.
-func InverterChain(sim *Simulator, in *Net, stages int, mkChannel func(i int, from, to *Net)) (*Net, error) {
-	return dtsim.InverterChain(sim, in, stages, mkChannel)
-}
-
-// Common zero-time gate functions.
-var (
-	FnInv   = dtsim.FnInv
-	FnBuf   = dtsim.FnBuf
-	FnNOR2  = dtsim.FnNOR2
-	FnNAND2 = dtsim.FnNAND2
-	FnAND2  = dtsim.FnAND2
-	FnOR2   = dtsim.FnOR2
-	FnXOR2  = dtsim.FnXOR2
-)
 
 // ChannelPolicy selects a channel's pulse-cancellation semantics.
 type ChannelPolicy = dtsim.Policy

@@ -117,10 +117,6 @@ func TestNetRecording(t *testing.T) {
 	if tr := n2.Trace(); !tr.Initial || tr.NumEvents() != 0 {
 		t.Error("unrecorded trace should be initial-only")
 	}
-	n2.SetInitial(false)
-	if n2.Value() {
-		t.Error("SetInitial did not update the value")
-	}
 }
 
 func TestDrive(t *testing.T) {

@@ -1,13 +1,14 @@
-// Package dtsim is an event-driven digital timing simulator: the
-// stand-in for the Involution Tool's QuestaSim environment (paper §VI).
+// Package dtsim holds the single-input delay channels of the digital
+// side (paper §VI): the DelayFunc interface the involution (internal/idm)
+// and inertial (internal/inertial) channels implement, and ApplyDelay,
+// which moves a trace's transitions through one channel offline with
+// involution or inertial cancellation.
 //
-// A simulation consists of named nets carrying boolean values, sources
-// that inject transitions, zero-time boolean gates, and delay channels
-// that move transitions in time (with model-specific cancellation
-// semantics). Channels are pluggable: the repository ships pure delay,
-// inertial delay, involution exp-channels and SumExp channels
-// (internal/inertial, internal/idm) and the paper's hybrid 2-input NOR
-// channel (internal/hybrid).
+// The event-driven Simulator, Net, Drive and Channel stay as the
+// reference implementation of those cancellation semantics:
+// TestApplyDelayMatchesChannel checks ApplyDelay against them. Circuits
+// are composed offline — per instance in topological order, as the
+// circuit scoring in internal/eval does — not by wiring nets.
 package dtsim
 
 import (
@@ -172,15 +173,6 @@ func (n *Net) Trace() trace.Trace {
 		return trace.Trace{Initial: n.value}
 	}
 	return *n.rec
-}
-
-// SetInitial overrides the net's initial value (before simulation)
-// without recording a transition event.
-func (n *Net) SetInitial(v bool) {
-	n.value = v
-	if n.rec != nil {
-		n.rec.Initial = v
-	}
 }
 
 // Set drives the net to v at time t, notifying listeners on change.

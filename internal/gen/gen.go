@@ -88,7 +88,15 @@ func (c Config) Name() string {
 	return fmt.Sprintf("%.0f/%.0f - %s", c.Mu/waveform.Pico, c.Sigma/waveform.Pico, c.Mode)
 }
 
-// Validate checks the configuration for use: counts must be positive,
+// MaxTransitions bounds Config.Transitions. The generator appends every
+// event up front and the golden window grows with them, so an unbounded
+// count from an untrusted job or grid would exhaust memory (a fatal
+// runtime error no recover catches) before the job could fail. The
+// paper's configurations use at most 500.
+const MaxTransitions = 1 << 16
+
+// Validate checks the configuration for use: counts must be positive
+// (transitions at most MaxTransitions),
 // the gap distribution must be a positive finite mu with a non-negative
 // finite sigma, the optional start time and gap clamp must be finite
 // and non-negative, and the mode must be known. A config that fails
@@ -102,11 +110,14 @@ func (c Config) Validate() error {
 	if c.Transitions < 1 {
 		return fmt.Errorf("gen: need at least one transition, have %d", c.Transitions)
 	}
+	if c.Transitions > MaxTransitions {
+		return fmt.Errorf("gen: %d transitions exceed %d", c.Transitions, MaxTransitions)
+	}
 	if !(c.Mu > 0) || math.IsInf(c.Mu, 0) {
-		return fmt.Errorf("gen: mean transition gap must be positive and finite, have mu=%g", c.Mu)
+		return fmt.Errorf("gen: invalid gap distribution: mean gap must be positive and finite, have mu=%g", c.Mu)
 	}
 	if c.Sigma < 0 || math.IsNaN(c.Sigma) || math.IsInf(c.Sigma, 0) {
-		return fmt.Errorf("gen: gap standard deviation must be non-negative and finite, have sigma=%g", c.Sigma)
+		return fmt.Errorf("gen: invalid gap distribution: standard deviation must be non-negative and finite, have sigma=%g", c.Sigma)
 	}
 	if c.Start < 0 || math.IsNaN(c.Start) || math.IsInf(c.Start, 0) {
 		return fmt.Errorf("gen: start time must be non-negative and finite, have start=%g", c.Start)

@@ -204,6 +204,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative inputs", func(c *Config) { c.Inputs = -3 }, "input"},
 		{"zero transitions", func(c *Config) { c.Transitions = 0 }, "transition"},
 		{"negative transitions", func(c *Config) { c.Transitions = -1 }, "transition"},
+		{"valid max transitions", func(c *Config) { c.Transitions = MaxTransitions }, ""},
+		{"too many transitions", func(c *Config) { c.Transitions = MaxTransitions + 1 }, "exceed 65536"},
+		{"huge transitions", func(c *Config) { c.Transitions = 2_000_000_000 }, "exceed 65536"},
 		{"zero mu", func(c *Config) { c.Mu = 0 }, "mu"},
 		{"negative mu", func(c *Config) { c.Mu = -100e-12 }, "mu"},
 		{"NaN mu", func(c *Config) { c.Mu = nan }, "mu"},

@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"math"
 
-	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/la"
 	"hybriddelay/internal/ode"
 	"hybriddelay/internal/trace"
 )
 
-// Channel is the paper's 2-input hybrid NOR delay channel for digital
-// timing simulation (§VI): a stateful channel that listens to both input
-// nets, advances the continuous state (V_N, V_O) along the closed-form
-// mode trajectories, switches modes at pure-delay-shifted input threshold
-// crossings, and emits an output transition whenever the resulting V_O
-// trajectory crosses V_th.
+// This file is the paper's 2-input hybrid NOR delay channel for digital
+// timing simulation (§VI): it listens to both input traces, advances the
+// continuous state (V_N, V_O) along the closed-form mode trajectories,
+// switches modes at pure-delay-shifted input threshold crossings, and
+// emits an output transition whenever the resulting V_O trajectory
+// crosses V_th.
 //
 // Unlike single-input single-output involution channels, this channel
 // sees which input switched and in which temporal relation to the other
@@ -27,50 +26,23 @@ import (
 // crossings that fall inside the deferred window survive later input
 // events — an input event only changes the trajectory *after* its own
 // effective switch time.
-type Channel struct {
-	P   Params
-	sim *dtsim.Simulator
-	a   *dtsim.Net
-	b   *dtsim.Net
-	out *dtsim.Net
-
-	// segs is the piecewise future of the continuous state: segs[i] is
-	// active on [segs[i].start, segs[i+1].start), the last segment
-	// extends to infinity. Invariant: segs[0].start <= sim.Now() after
-	// every event, and the list is sorted.
-	segs []futureSeg
-
-	pendingID  dtsim.EventID
-	hasPending bool
-}
 
 type futureSeg struct {
 	start float64
-	mode  Mode
 	sol   *ode.Solution2 // local time: t - start
 }
 
-// NewChannel wires a hybrid NOR channel between two input nets and an
-// output net. The initial continuous state is the current mode's steady
-// state, with V_N = vn0 in mode (1,1) where the steady state leaves V_N
-// free.
-func NewChannel(sim *dtsim.Simulator, p Params, a, b, out *dtsim.Net, vn0 float64) (*Channel, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	ch := &Channel{P: p, sim: sim, a: a, b: b, out: out}
-	mode := ModeOf(a.Value(), b.Value())
-	state := p.steadyState(mode, vn0)
-	sol, err := p.System(mode).Solve(state)
-	if err != nil {
-		return nil, err
-	}
-	ch.segs = []futureSeg{{start: sim.Now(), mode: mode, sol: sol}}
-	out.SetInitial(state.Y > p.Supply.Vth)
+// crossingFunc finds the first crossing of a segment's V_O through level
+// in the given direction within [t0, t1] (outputCrossing's signature).
+type crossingFunc func(sol *ode.Solution2, start, level float64, rising bool, t0, t1 float64) (float64, bool)
 
-	a.OnChange(func(t float64, _ bool) { ch.onInput(t) })
-	b.OnChange(func(t float64, _ bool) { ch.onInput(t) })
-	return ch, nil
+// future is the piecewise future of the continuous state: segs[i] is
+// active on [segs[i].start, segs[i+1].start), the last segment extends
+// to infinity. Invariant: segs[0].start <= the channel clock after every
+// event, and the list is sorted.
+type future struct {
+	segs  []futureSeg
+	cross crossingFunc
 }
 
 // steadyState returns the settled (V_N, V_O) of a mode; vn0 fills the
@@ -88,84 +60,28 @@ func (p Params) steadyState(m Mode, vn0 float64) la.Vec2 {
 	}
 }
 
-// StateAt evaluates the channel's continuous state at absolute time t
-// (within the currently known future).
-func (ch *Channel) StateAt(t float64) la.Vec2 {
-	i := ch.segIndex(t)
-	local := t - ch.segs[i].start
-	if local < 0 {
-		local = 0
-	}
-	return ch.segs[i].sol.At(local)
-}
-
-// ModeAt returns the scheduled mode at absolute time t.
-func (ch *Channel) ModeAt(t float64) Mode {
-	return ch.segs[ch.segIndex(t)].mode
-}
-
-func (ch *Channel) segIndex(t float64) int {
-	i := len(ch.segs) - 1
-	for i > 0 && ch.segs[i].start > t {
+func (f *future) segIndex(t float64) int {
+	i := len(f.segs) - 1
+	for i > 0 && f.segs[i].start > t {
 		i--
 	}
 	return i
 }
 
-// onInput handles an input transition at simulation time t. The pure
-// delay DMin defers the mode switch to t + DMin; the trajectory before
-// that instant is unaffected.
-func (ch *Channel) onInput(t float64) {
-	tEff := t + ch.P.DMin
-	i := ch.segIndex(tEff)
-	state := ch.segs[i].sol.At(tEff - ch.segs[i].start)
-	mode := ModeOf(ch.a.Value(), ch.b.Value())
-	sol, err := ch.P.System(mode).Solve(state)
-	if err != nil {
-		panic(fmt.Sprintf("hybrid: mode %v solve failed: %v", mode, err))
-	}
-	// Truncate any previously scheduled future after tEff and append the
-	// new segment.
-	ch.segs = append(ch.segs[:i+1], futureSeg{start: tEff, mode: mode, sol: sol})
-	ch.prune(t)
-	ch.reschedule()
-}
-
 // prune drops segments that ended before now, keeping the active one.
-func (ch *Channel) prune(now float64) {
-	for len(ch.segs) >= 2 && ch.segs[1].start <= now {
-		ch.segs = ch.segs[1:]
+func (f *future) prune(now float64) {
+	for len(f.segs) >= 2 && f.segs[1].start <= now {
+		f.segs = f.segs[1:]
 	}
 }
 
-// reschedule recomputes the next output threshold crossing across the
-// whole known future and (re)schedules the output event.
-func (ch *Channel) reschedule() {
-	if ch.hasPending {
-		ch.sim.Cancel(ch.pendingID)
-		ch.hasPending = false
-	}
-	now := ch.sim.Now()
-	rising := !ch.out.Value()
-	tCross, ok := ch.nextCrossing(ch.P.Supply.Vth, rising, now)
-	if !ok {
-		return
-	}
-	id, err := ch.sim.Schedule(tCross, ch.fire)
-	if err != nil {
-		panic(fmt.Sprintf("hybrid: schedule failed: %v", err))
-	}
-	ch.pendingID = id
-	ch.hasPending = true
-}
-
-// nextCrossing finds the first V_th crossing in the given direction at
-// absolute time >= after, scanning every future segment.
-func (ch *Channel) nextCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for i, seg := range ch.segs {
+// nextCrossing finds the first crossing of level in the given direction
+// at absolute time >= after, scanning every future segment.
+func (f *future) nextCrossing(level float64, rising bool, after float64) (float64, bool) {
+	for i, seg := range f.segs {
 		var end float64
-		if i+1 < len(ch.segs) {
-			end = ch.segs[i+1].start
+		if i+1 < len(f.segs) {
+			end = f.segs[i+1].start
 		} else {
 			tau := seg.sol.SlowestTimeConstant()
 			if math.IsInf(tau, 1) {
@@ -177,43 +93,110 @@ func (ch *Channel) nextCrossing(level float64, rising bool, after float64) (floa
 			continue
 		}
 		t0 := math.Max(seg.start, after)
-		if t, ok := outputCrossing(seg.sol, seg.start, level, rising, t0, end); ok {
+		if t, ok := f.cross(seg.sol, seg.start, level, rising, t0, end); ok {
 			return t, true
 		}
 	}
 	return 0, false
 }
 
-// fire emits the pending output transition and looks for a follow-up
-// crossing (a segment's two-exponential V_O can cross the threshold at
-// most twice, and later segments may cross again).
-func (ch *Channel) fire(t float64) {
-	ch.hasPending = false
-	ch.out.Set(t, !ch.out.Value())
-	ch.prune(t)
-	ch.reschedule()
+// checkEventTimes rejects input traces the channel cannot replay in
+// time order: negative, non-finite or decreasing event times.
+func checkEventTimes(name string, tr trace.Trace) error {
+	last := 0.0
+	for i, e := range tr.Events {
+		if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) || e.Time < last {
+			return fmt.Errorf("hybrid: input %s event %d at %g: times must be finite, non-negative and sorted", name, i, e.Time)
+		}
+		last = e.Time
+	}
+	return nil
 }
 
 // ApplyNOR runs the channel offline over two input traces and returns
-// the output trace, simulating until all activity has settled. This is
-// the bulk-evaluation entry point used by the accuracy pipeline.
+// the output trace, simulating until all activity has settled or until
+// `until`, whichever comes first. The initial continuous state is the
+// initial mode's steady state, with V_N = vn0 in mode (1,1) where the
+// steady state leaves V_N free. This is the bulk-evaluation entry point
+// used by the accuracy pipeline.
 func ApplyNOR(p Params, a, b trace.Trace, until float64, vn0 float64) (trace.Trace, error) {
-	sim := dtsim.NewSimulator()
-	na := dtsim.NewNet("a", a.Initial)
-	nb := dtsim.NewNet("b", b.Initial)
-	no := dtsim.NewNet("o", false)
-	no.Record()
-	if _, err := NewChannel(sim, p, na, nb, no, vn0); err != nil {
+	return applyNOR(p, a, b, until, vn0, outputCrossing)
+}
+
+// applyNOR is ApplyNOR with the per-segment crossing search as a
+// parameter. It merges a's edges, b's edges and the one pending output
+// crossing in time order; at equal times a's edges fire first, then
+// b's, then the crossing.
+func applyNOR(p Params, a, b trace.Trace, until, vn0 float64, cross crossingFunc) (trace.Trace, error) {
+	if err := p.Validate(); err != nil {
 		return trace.Trace{}, err
 	}
-	if err := dtsim.Drive(sim, na, a); err != nil {
+	if err := checkEventTimes("a", a); err != nil {
 		return trace.Trace{}, err
 	}
-	if err := dtsim.Drive(sim, nb, b); err != nil {
+	if err := checkEventTimes("b", b); err != nil {
 		return trace.Trace{}, err
 	}
-	if err := sim.Run(until); err != nil {
+	va, vb := a.Initial, b.Initial
+	mode := ModeOf(va, vb)
+	state := p.steadyState(mode, vn0)
+	sol, err := p.System(mode).Solve(state)
+	if err != nil {
 		return trace.Trace{}, err
 	}
-	return no.Trace(), nil
+	f := future{segs: []futureSeg{{start: 0, sol: sol}}, cross: cross}
+	vth := p.Supply.Vth
+	out := trace.Trace{Initial: state.Y > vth}
+	cur := out.Initial
+	var tc float64 // the pending output crossing, if pending
+	pending := false
+	ia, ib := 0, 0
+	for {
+		t, fromA := math.Inf(1), false
+		if ia < len(a.Events) {
+			t, fromA = a.Events[ia].Time, true
+		}
+		if ib < len(b.Events) && b.Events[ib].Time < t {
+			t, fromA = b.Events[ib].Time, false
+		}
+		if pending && tc < t {
+			if tc > until {
+				break
+			}
+			cur = !cur
+			out.Events = append(out.Events, trace.Event{Time: tc, Value: cur})
+			f.prune(tc)
+			tc, pending = f.nextCrossing(vth, !cur, tc)
+			continue
+		}
+		if t > until || (ia == len(a.Events) && ib == len(b.Events)) {
+			break
+		}
+		changed := false
+		if fromA {
+			changed, va = a.Events[ia].Value != va, a.Events[ia].Value
+			ia++
+		} else {
+			changed, vb = b.Events[ib].Value != vb, b.Events[ib].Value
+			ib++
+		}
+		if !changed {
+			continue
+		}
+		// The pure delay DMin defers the mode switch to t + DMin; the
+		// trajectory before that instant is unaffected, and any future
+		// scheduled after it is replaced.
+		tEff := t + p.DMin
+		i := f.segIndex(tEff)
+		state := f.segs[i].sol.At(tEff - f.segs[i].start)
+		mode := ModeOf(va, vb)
+		sol, err := p.System(mode).Solve(state)
+		if err != nil {
+			return trace.Trace{}, fmt.Errorf("hybrid: mode %v solve failed: %w", mode, err)
+		}
+		f.segs = append(f.segs[:i+1], futureSeg{start: tEff, sol: sol})
+		f.prune(t)
+		tc, pending = f.nextCrossing(vth, !cur, t)
+	}
+	return out, nil
 }

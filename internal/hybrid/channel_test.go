@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/trace"
 )
 
@@ -250,34 +249,104 @@ func TestChannelSimultaneousEdges(t *testing.T) {
 	}
 }
 
-// TestChannelStateAccessors: StateAt/ModeAt reflect the scheduled future.
-func TestChannelStateAccessors(t *testing.T) {
-	p := TableI()
-	sim := dtsim.NewSimulator()
-	na := dtsim.NewNet("a", false)
-	nb := dtsim.NewNet("b", false)
-	no := dtsim.NewNet("o", false)
-	ch, err := NewChannel(sim, p, na, nb, no, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.ModeAt(0) != Mode00 {
-		t.Errorf("initial mode %v", ch.ModeAt(0))
-	}
-	st := ch.StateAt(0)
-	if math.Abs(st.X-p.Supply.VDD) > 1e-12 || math.Abs(st.Y-p.Supply.VDD) > 1e-12 {
-		t.Errorf("initial state %v", st)
-	}
-	if !no.Value() {
-		t.Error("NOR of (0,0) must start high")
-	}
-}
-
 // TestApplyNORRejectsInvalidParams: validation propagates.
 func TestApplyNORRejectsInvalidParams(t *testing.T) {
 	p := TableI()
 	p.R3 = -1
 	if _, err := ApplyNOR(p, trace.Trace{}, trace.Trace{}, 1e-9, 0); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// assertEvents fails unless got is exactly (bit for bit) the expected
+// output trace.
+func assertEvents(t *testing.T, name string, got trace.Trace, initial bool, want []trace.Event) {
+	t.Helper()
+	if got.Initial != initial || len(got.Events) != len(want) {
+		t.Fatalf("%s: got initial %v events %+v, want initial %v events %+v", name, got.Initial, got.Events, initial, want)
+	}
+	for i, e := range want {
+		g := got.Events[i]
+		if g.Value != e.Value || math.Float64bits(g.Time) != math.Float64bits(e.Time) {
+			t.Fatalf("%s: event %d %+v, want %+v", name, i, g, e)
+		}
+	}
+}
+
+// tableICrossing is the output fall of TableI's NOR after input A alone
+// rises at 500 ps with B low (V_N = VDD).
+var tableICrossing = math.Float64frombits(0x3e0285c7b3734d37) // 539.078 ps
+
+// TestApplyNOREventOrder pins the channel's event order bit for bit:
+// at equal times A's edge is handled before B's, and both before the
+// pending output crossing; nothing after until fires. The expected
+// events are those of the event-queue implementation the merge loop
+// replaced.
+func TestApplyNOREventOrder(t *testing.T) {
+	p := TableI()
+	vdd := p.Supply.VDD
+	bits := math.Float64frombits
+	tied := mkTrace(false, 500e-12, 530e-12, 700e-12, 760e-12, 1000e-12, 1300e-12)
+	for _, c := range []struct {
+		name       string
+		a, b       trace.Trace
+		until, vn0 float64
+		initial    bool
+		want       []trace.Event
+	}{
+		{"same instant rise", mkTrace(false, 500e-12), mkTrace(false, 500e-12), 3e-9, 0, true,
+			[]trace.Event{{Time: bits(0x3e02249a28f433af), Value: false}}},
+		{"same instant fall", mkTrace(true, 500e-12), mkTrace(true, 500e-12), 3e-9, 0, false,
+			[]trace.Event{{Time: bits(0x3e0311cca53976ce), Value: true}}},
+		// A rises while B falls at the same instant, twice: the output
+		// stays low.
+		{"same instant opposite", mkTrace(false, 500e-12, 900e-12), mkTrace(true, 500e-12, 900e-12), 3e-9, vdd, false, nil},
+		// Tied inputs, as a NOR wired as an inverter sees them.
+		{"tied", tied, tied, 3e-9, vdd, true, []trace.Event{
+			{Time: bits(0x3e02249a28f433af), Value: false},
+			{Time: bits(0x3e03c8c836576990), Value: true},
+			{Time: bits(0x3e08ffb33e08df45), Value: false},
+			{Time: bits(0x3e0be63dfcbdf5aa), Value: true},
+			{Time: bits(0x3e11a8bb801df1a2), Value: false},
+			{Time: bits(0x3e173d76c639fd8a), Value: true},
+		}},
+		// An input edge exactly at the pending crossing is handled first;
+		// the crossing search restarted at that instant no longer finds
+		// the crossing.
+		{"A edge on crossing", mkTrace(false, 500e-12, tableICrossing), mkTrace(false), 3e-9, vdd, true, nil},
+		{"B rise on crossing", mkTrace(false, 500e-12), mkTrace(false, tableICrossing), 3e-9, vdd, true, nil},
+		{"B fall on crossing", mkTrace(false, 500e-12), mkTrace(true, tableICrossing), 3e-9, vdd, false, nil},
+		{"edge after until", mkTrace(false, 500e-12, 2e-9), mkTrace(false), 1e-9, vdd, true,
+			[]trace.Event{{Time: tableICrossing, Value: false}}},
+		{"crossing after until", mkTrace(false, 500e-12), mkTrace(false), 510e-12, vdd, true, nil},
+	} {
+		got, err := ApplyNOR(p, c.a, c.b, c.until, c.vn0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		assertEvents(t, c.name, got, c.initial, c.want)
+	}
+}
+
+// TestApplyNORRejectsBadEventTimes: inputs the channel cannot replay in
+// time order are errors, on either input.
+func TestApplyNORRejectsBadEventTimes(t *testing.T) {
+	p := TableI()
+	for _, c := range []struct {
+		name string
+		ev   []trace.Event
+	}{
+		{"out of order", []trace.Event{{Time: 2e-10, Value: true}, {Time: 1e-10, Value: false}}},
+		{"NaN", []trace.Event{{Time: math.NaN(), Value: true}}},
+		{"negative", []trace.Event{{Time: -1e-10, Value: true}}},
+		{"infinite", []trace.Event{{Time: math.Inf(1), Value: true}}},
+	} {
+		bad := trace.Trace{Events: c.ev}
+		if _, err := ApplyNOR(p, bad, trace.Trace{}, 3e-9, 0); err == nil {
+			t.Errorf("%s on A accepted", c.name)
+		}
+		if _, err := ApplyNOR(p, trace.Trace{}, bad, 3e-9, 0); err == nil {
+			t.Errorf("%s on B accepted", c.name)
+		}
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/la"
 	"hybriddelay/internal/ode"
-	"hybriddelay/internal/trace"
 )
 
 // scanOutputCrossing is the reference outputCrossing must reproduce bit
@@ -190,99 +188,6 @@ func TestOutputCrossingScanFallback(t *testing.T) {
 	}
 }
 
-// scanChannel replays the Channel's event handling with every crossing
-// found by the reference scan, so whole ApplyNOR runs can be compared.
-type scanChannel struct{ *Channel }
-
-func scanApplyNOR(p Params, a, b trace.Trace, until, vn0 float64) (trace.Trace, error) {
-	sim := dtsim.NewSimulator()
-	na := dtsim.NewNet("a", a.Initial)
-	nb := dtsim.NewNet("b", b.Initial)
-	no := dtsim.NewNet("o", false)
-	no.Record()
-	mode := ModeOf(na.Value(), nb.Value())
-	state := p.steadyState(mode, vn0)
-	sol, err := p.System(mode).Solve(state)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	ch := scanChannel{&Channel{P: p, sim: sim, a: na, b: nb, out: no,
-		segs: []futureSeg{{start: sim.Now(), mode: mode, sol: sol}}}}
-	no.SetInitial(state.Y > p.Supply.Vth)
-	na.OnChange(func(t float64, _ bool) { ch.onInput(t) })
-	nb.OnChange(func(t float64, _ bool) { ch.onInput(t) })
-	if err := dtsim.Drive(sim, na, a); err != nil {
-		return trace.Trace{}, err
-	}
-	if err := dtsim.Drive(sim, nb, b); err != nil {
-		return trace.Trace{}, err
-	}
-	if err := sim.Run(until); err != nil {
-		return trace.Trace{}, err
-	}
-	return no.Trace(), nil
-}
-
-func (ch scanChannel) onInput(t float64) {
-	tEff := t + ch.P.DMin
-	i := ch.segIndex(tEff)
-	state := ch.segs[i].sol.At(tEff - ch.segs[i].start)
-	mode := ModeOf(ch.a.Value(), ch.b.Value())
-	sol, err := ch.P.System(mode).Solve(state)
-	if err != nil {
-		panic(err)
-	}
-	ch.segs = append(ch.segs[:i+1], futureSeg{start: tEff, mode: mode, sol: sol})
-	ch.prune(t)
-	ch.reschedule()
-}
-
-func (ch scanChannel) reschedule() {
-	if ch.hasPending {
-		ch.sim.Cancel(ch.pendingID)
-		ch.hasPending = false
-	}
-	now := ch.sim.Now()
-	tCross, ok := ch.scanNextCrossing(ch.P.Supply.Vth, !ch.out.Value(), now)
-	if !ok {
-		return
-	}
-	id, err := ch.sim.Schedule(tCross, ch.fire)
-	if err != nil {
-		panic(err)
-	}
-	ch.pendingID, ch.hasPending = id, true
-}
-
-func (ch scanChannel) fire(t float64) {
-	ch.hasPending = false
-	ch.out.Set(t, !ch.out.Value())
-	ch.prune(t)
-	ch.reschedule()
-}
-
-func (ch scanChannel) scanNextCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for i, seg := range ch.segs {
-		var end float64
-		if i+1 < len(ch.segs) {
-			end = ch.segs[i+1].start
-		} else {
-			tau := seg.sol.SlowestTimeConstant()
-			if math.IsInf(tau, 1) {
-				tau = 1e-9
-			}
-			end = math.Max(seg.start, after) + 60*tau
-		}
-		if end <= after {
-			continue
-		}
-		if t, ok := scanOutputCrossing(seg.sol, seg.start, level, rising, math.Max(seg.start, after), end); ok {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
 // scanFirstOutputCrossing is Trajectory.FirstOutputCrossing with the
 // reference scan.
 func scanFirstOutputCrossing(tr *Trajectory, level float64, rising bool, after float64) (float64, bool) {
@@ -329,7 +234,7 @@ func TestApplyNORMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := scanApplyNOR(p, in[0], in[1], until, vn0)
+				want, err := applyNOR(p, in[0], in[1], until, vn0, scanOutputCrossing)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,10 +4,9 @@
 // elaborates down both sides of the accuracy study. On the analog side
 // the instances are flattened into one transistor-level MNA circuit
 // (Bench) producing a composed golden trace per recorded net; on the
-// digital side the same description drives either the event-driven
-// simulator (Elaborate, with a pluggable per-gate channel policy) or a
-// topological dataflow walk over offline delay models (Walk, used by
-// the circuit-level scoring in internal/eval).
+// digital side the same description drives a topological dataflow walk
+// over offline per-instance delay models (Walk, used by the
+// circuit-level scoring in internal/eval).
 //
 // A netlist is validated structurally — known gates, arity-matched
 // connections, single-driver nets, no undriven nets, no combinational

@@ -248,6 +248,23 @@ func TestServeRejectsHugeSweepGrid(t *testing.T) {
 	}
 }
 
+// TestServeRejectsHugeTransitions: a gate job asking for more than
+// gen.MaxTransitions transitions per stimulus is answered 400 at submit,
+// before any trace is generated.
+func TestServeRejectsHugeTransitions(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	spec := JobSpec{Kind: session.KindGate, Gate: "nor2", Stimuli: []sweep.Stimulus{testStimulus(2_000_000_000)}}
+	// Fail before submitting if the bound is gone: an admitted job would
+	// try to generate the whole stimulus and exhaust memory.
+	if _, err := spec.Job(); err == nil {
+		t.Fatal("Job accepted 2e9 transitions")
+	}
+	_, status, body := trySubmit(t, hs.URL, spec, "")
+	if status != http.StatusBadRequest || !strings.Contains(body, "2000000000 transitions exceed 65536") {
+		t.Fatalf("status %d (want 400): %s", status, body)
+	}
+}
+
 // TestServeSSEStream verifies the event stream: replayed and live
 // events arrive with strictly increasing sequence numbers, progress
 // events report monotonically increasing per-phase completion, and the

@@ -16,7 +16,6 @@ import (
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/session"
 	"hybriddelay/internal/sweep"
-	"hybriddelay/internal/waveform"
 )
 
 // JobSpec is the wire form of one submitted job — the POST /v1/jobs
@@ -84,35 +83,20 @@ func (js *JobSpec) seedList() []int64 {
 	return out
 }
 
-// configs derives one generator configuration per stimulus for the
-// given input count, applying the same defaults as the sweep grid.
+// configs derives one validated generator configuration per stimulus
+// for the given input count (sweep.Stimulus.Config: the same defaults
+// as the sweep grid).
 func (js *JobSpec) configs(inputs int) ([]gen.Config, error) {
 	if len(js.Stimuli) == 0 {
 		return nil, fmt.Errorf("serve: %s job needs at least one stimulus", js.Kind)
 	}
 	out := make([]gen.Config, 0, len(js.Stimuli))
 	for i, st := range js.Stimuli {
-		if st.Mu <= 0 || st.Sigma < 0 {
-			return nil, fmt.Errorf("serve: stimulus %d: invalid gap distribution mu=%g sigma=%g", i, st.Mu, st.Sigma)
+		cfg := st.Config(inputs)
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: stimulus %d: %w", i, err)
 		}
-		if st.Transitions < 1 {
-			return nil, fmt.Errorf("serve: stimulus %d: need at least one transition", i)
-		}
-		if st.Mode != gen.Local && st.Mode != gen.Global {
-			return nil, fmt.Errorf("serve: stimulus %d: unknown mode %d", i, int(st.Mode))
-		}
-		if st.Start <= 0 {
-			st.Start = 200 * waveform.Pico
-		}
-		out = append(out, gen.Config{
-			Mu:          st.Mu,
-			Sigma:       st.Sigma,
-			Mode:        st.Mode,
-			Inputs:      inputs,
-			Transitions: st.Transitions,
-			Start:       st.Start,
-			MinGap:      st.MinGap,
-		})
+		out = append(out, cfg)
 	}
 	return out, nil
 }

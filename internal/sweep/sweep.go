@@ -56,6 +56,24 @@ func (s Stimulus) Name() string {
 	return fmt.Sprintf("%.0f/%.0f - %s", s.Mu/waveform.Pico, s.Sigma/waveform.Pico, s.Mode)
 }
 
+// Config is the generator configuration of the stimulus for a gate or
+// circuit with the given input count, with the default start time
+// (200 ps) filled in.
+func (s Stimulus) Config(inputs int) gen.Config {
+	if s.Start <= 0 {
+		s.Start = 200 * waveform.Pico
+	}
+	return gen.Config{
+		Mu:          s.Mu,
+		Sigma:       s.Sigma,
+		Mode:        s.Mode,
+		Inputs:      inputs,
+		Transitions: s.Transitions,
+		Start:       s.Start,
+		MinGap:      s.MinGap,
+	}
+}
+
 // Spec is the declarative scenario grid. The expanded grid is the cross
 // product Gates × VDDScale × LoadScale × Stimuli, each evaluated over
 // the same seed list; empty scale axes default to {1} and an empty seed
@@ -262,14 +280,11 @@ func Expand(spec Spec) ([]Scenario, error) {
 	}
 	seenStim := map[Stimulus]bool{}
 	for i, st := range spec.Stimuli {
-		if st.Mu <= 0 || st.Sigma < 0 {
-			return nil, fmt.Errorf("sweep: stimulus %d: invalid gap distribution mu=%g sigma=%g", i, st.Mu, st.Sigma)
-		}
-		if st.Transitions < 1 {
-			return nil, fmt.Errorf("sweep: stimulus %d: need at least one transition", i)
-		}
-		if st.Mode != gen.Local && st.Mode != gen.Global {
-			return nil, fmt.Errorf("sweep: stimulus %d: unknown mode %d", i, int(st.Mode))
+		// Every gate and every valid netlist has at least one input, so
+		// the stimulus is checked once here, before the scenario list
+		// is allocated, on its one-input configuration.
+		if err := st.Config(1).Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: stimulus %d: %w", i, err)
 		}
 		if seenStim[st] {
 			return nil, fmt.Errorf("sweep: stimulus %d (%s, %d transitions) listed twice", i, st.Name(), st.Transitions)
@@ -306,27 +321,17 @@ func Expand(spec Spec) ([]Scenario, error) {
 		for _, vdd := range vdds {
 			for _, load := range loads {
 				for _, st := range spec.Stimuli {
-					stim := st
-					if stim.Start <= 0 {
-						stim.Start = 200 * waveform.Pico
-					}
+					cfg := st.Config(inputs)
+					st.Start = cfg.Start
 					out = append(out, Scenario{
 						Index:     len(out),
 						Gate:      label,
 						VDDScale:  vdd,
 						LoadScale: load,
-						Stimulus:  stim,
+						Stimulus:  st,
 						Params:    scaleParams(base, vdd, load),
 						Circuit:   circuit,
-						Config: gen.Config{
-							Mu:          stim.Mu,
-							Sigma:       stim.Sigma,
-							Mode:        stim.Mode,
-							Inputs:      inputs,
-							Transitions: stim.Transitions,
-							Start:       stim.Start,
-							MinGap:      stim.MinGap,
-						},
+						Config:    cfg,
 					})
 				}
 			}

@@ -115,6 +115,7 @@ func TestExpandValidation(t *testing.T) {
 		{"bad mu", func(s *Spec) { s.Stimuli[0].Mu = 0 }, "gap distribution"},
 		{"negative sigma", func(s *Spec) { s.Stimuli[0].Sigma = -1e-12 }, "gap distribution"},
 		{"no transitions", func(s *Spec) { s.Stimuli[0].Transitions = 0 }, "transition"},
+		{"too many transitions", func(s *Spec) { s.Stimuli[0].Transitions = 2_000_000_000 }, "transitions exceed 65536"},
 		{"bad mode", func(s *Spec) { s.Stimuli[0].Mode = gen.Mode(7) }, "unknown mode"},
 		// Duplicate axis values would alias golden-cache keys across
 		// scenarios and make per-scenario hit accounting depend on

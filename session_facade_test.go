@@ -335,9 +335,4 @@ func TestFacadeReexportExercise(t *testing.T) {
 	if _, err := NewCircuitBench(nl, fastFacadeParams()); err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimulator()
-	ms := NetlistModels{}
-	if _, err := ElaborateNetlist(nl, sim, nil, WireNetlistModel(ms, ModelInertial)); err == nil {
-		t.Error("elaboration with an empty model set must fail")
-	}
 }
