@@ -126,12 +126,12 @@ func reportSolver(stderr io.Writer, st spice.SolverStats) {
 	fmt.Fprintf(stderr, "solver: %d steps (%d rejected), %d Newton iterations, %d factorizations (%d reused LU)\n",
 		st.Steps, st.Rejected, st.Iterations, st.Factorizations, st.Reused)
 	if st.SparseFactorizations > 0 || st.LinearReuses > 0 || st.SparseFallbacks > 0 {
-		fmt.Fprintf(stderr, "solver: sparse path: %d sparse factorizations, %d dense fallbacks, %d linear restamps skipped\n",
-			st.SparseFactorizations, st.SparseFallbacks, st.LinearReuses)
+		fmt.Fprintf(stderr, "solver: sparse path: %d sparse factorizations, %d dense fallbacks, %d linear restamps skipped, %d linear bases kept\n",
+			st.SparseFactorizations, st.SparseFallbacks, st.LinearReuses, st.LinearBaseReuses)
 	}
 	if st.SymbolicHits > 0 || st.SymbolicMisses > 0 {
-		fmt.Fprintf(stderr, "solver: symbolic cache: %d hits, %d misses, %d supernodes adopted\n",
-			st.SymbolicHits, st.SymbolicMisses, st.Supernodes)
+		fmt.Fprintf(stderr, "solver: symbolic cache: %d hits, %d misses\n",
+			st.SymbolicHits, st.SymbolicMisses)
 	}
 }
 

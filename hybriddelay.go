@@ -322,7 +322,7 @@ func ParseSolverMode(s string) (SolverMode, error) { return spice.ParseSolverMod
 
 // SolverStats counts the MNA solver work behind an evaluation — steps,
 // Newton iterations, factorizations, and the sparse path's savings
-// (including symbolic-cache hits/misses and adopted supernodes).
+// (including kept linear bases and symbolic-cache hits/misses).
 // Every session Result carries one in Stats.Solver.
 type SolverStats = spice.SolverStats
 

@@ -125,8 +125,9 @@ func ApplyNOR(p Params, a, b trace.Trace, until float64, vn0 float64) (trace.Tra
 
 // applyNOR is ApplyNOR with the per-segment crossing search as a
 // parameter. It merges a's edges, b's edges and the one pending output
-// crossing in time order; at equal times a's edges fire first, then
-// b's, then the crossing.
+// crossing in time order; at equal times the crossing fires first (the
+// output has reached V_th by then, and an edge at that instant only
+// shapes the trajectory after it), then a's edges, then b's.
 func applyNOR(p Params, a, b trace.Trace, until, vn0 float64, cross crossingFunc) (trace.Trace, error) {
 	if err := p.Validate(); err != nil {
 		return trace.Trace{}, err
@@ -159,7 +160,7 @@ func applyNOR(p Params, a, b trace.Trace, until, vn0 float64, cross crossingFunc
 		if ib < len(b.Events) && b.Events[ib].Time < t {
 			t, fromA = b.Events[ib].Time, false
 		}
-		if pending && tc < t {
+		if pending && tc <= t {
 			if tc > until {
 				break
 			}

@@ -278,10 +278,11 @@ func assertEvents(t *testing.T, name string, got trace.Trace, initial bool, want
 var tableICrossing = math.Float64frombits(0x3e0285c7b3734d37) // 539.078 ps
 
 // TestApplyNOREventOrder pins the channel's event order bit for bit:
-// at equal times A's edge is handled before B's, and both before the
-// pending output crossing; nothing after until fires. The expected
-// events are those of the event-queue implementation the merge loop
-// replaced.
+// at equal times the pending output crossing fires first, then A's
+// edge, then B's; nothing after until fires. Apart from the crossing
+// ties, the expected events are those of the event-queue
+// implementation the merge loop replaced (which handled an edge on the
+// crossing instant first and lost the crossing).
 func TestApplyNOREventOrder(t *testing.T) {
 	p := TableI()
 	vdd := p.Supply.VDD
@@ -310,11 +311,17 @@ func TestApplyNOREventOrder(t *testing.T) {
 			{Time: bits(0x3e11a8bb801df1a2), Value: false},
 			{Time: bits(0x3e173d76c639fd8a), Value: true},
 		}},
-		// An input edge exactly at the pending crossing is handled first;
-		// the crossing search restarted at that instant no longer finds
-		// the crossing.
-		{"A edge on crossing", mkTrace(false, 500e-12, tableICrossing), mkTrace(false), 3e-9, vdd, true, nil},
-		{"B rise on crossing", mkTrace(false, 500e-12), mkTrace(false, tableICrossing), 3e-9, vdd, true, nil},
+		// The pending crossing fires before an input edge at the same
+		// instant: the output has reached V_th there, and the edge only
+		// shapes the trajectory after it. The results equal those of
+		// the edge one ulp later.
+		{"A edge on crossing", mkTrace(false, 500e-12, tableICrossing), mkTrace(false), 3e-9, vdd, true, []trace.Event{
+			{Time: tableICrossing, Value: false},
+			{Time: bits(0x3e03d45d31e976f1), Value: true},
+		}},
+		{"B rise on crossing", mkTrace(false, 500e-12), mkTrace(false, tableICrossing), 3e-9, vdd, true,
+			[]trace.Event{{Time: tableICrossing, Value: false}}},
+		// The output is low throughout (no crossing is ever pending).
 		{"B fall on crossing", mkTrace(false, 500e-12), mkTrace(true, tableICrossing), 3e-9, vdd, false, nil},
 		{"edge after until", mkTrace(false, 500e-12, 2e-9), mkTrace(false), 1e-9, vdd, true,
 			[]trace.Event{{Time: tableICrossing, Value: false}}},

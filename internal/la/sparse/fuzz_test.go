@@ -50,8 +50,11 @@ func decodeSystem(data []byte) (*la.Matrix, []int32, []float64, bool) {
 }
 
 // FuzzFactorSolve round-trips random sparsity patterns through the
-// symbolic and numeric phases and cross-checks the solution against
-// the dense partial-pivot reference within tolerance.
+// symbolic and numeric phases. The packed kernel must match the dense
+// partial-pivot solve within tolerance, and must be bit-for-bit
+// identical to the dense scalar reference (factorSolveScalar) both on
+// the pilot values and on a deterministic value drift of the same
+// pattern that can create zero multipliers and degraded pivots.
 func FuzzFactorSolve(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 40, 200})
@@ -64,6 +67,13 @@ func FuzzFactorSolve(f *testing.F) {
 		0, 0, 0, 1, 0, 33, 1,
 		1, 0, 1, 0, 1, 1, 250,
 		1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{5,
+		255, 1, 1, 1, 1,
+		1, 255, 1, 1, 1,
+		1, 1, 255, 1, 1,
+		1, 1, 1, 255, 1,
+		1, 1, 1, 1, 255,
+		1, 2, 3, 4, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, pattern, b, ok := decodeSystem(data)
 		if !ok {
@@ -82,13 +92,30 @@ func FuzzFactorSolve(f *testing.F) {
 			t.Fatalf("dense reference failed: %v", err)
 		}
 		x := make([]float64, n)
-		if err := sym.NewNumeric().FactorSolve(a.Clone(), x, b); err != nil {
+		if _, err := packedSolve(sym.NewNumeric(), a, x, b); err != nil {
 			t.Fatalf("FactorSolve failed: %v", err)
 		}
 		for i := range x {
 			if d := math.Abs(x[i] - want[i]); d > 1e-8*(1+math.Abs(want[i])) {
 				t.Fatalf("x[%d] = %g, dense %g (diff %g)", i, x[i], want[i], d)
 			}
+		}
+		if err := compareWithReference(sym, a, b); err != nil {
+			t.Fatalf("pilot values: %v", err)
+		}
+		drift := a.Clone()
+		for i, off := range pattern {
+			switch i % 5 {
+			case 0:
+				drift.Data[off] = 0
+			case 1:
+				drift.Data[off] *= -1.5
+			case 2:
+				drift.Data[off] *= 1e-6
+			}
+		}
+		if err := compareWithReference(sym, drift, b); err != nil {
+			t.Fatalf("drifted values: %v", err)
 		}
 	})
 }

@@ -9,27 +9,25 @@
 // static row/column pivot order by Markowitz cost (with a relative
 // magnitude admissibility threshold, the classical fill-reducing
 // heuristic), discovers every fill-in position that elimination will
-// create, and flattens the whole elimination into precomputed offset
-// schedules. FactorSolve then refactors any matrix with the same
-// pattern by replaying that schedule: no pivot search, no pattern
-// discovery, no divisions beyond one reciprocal per pivot, no
-// allocations, and — because the schedule only visits structural
-// positions — O(nnz)-proportional work instead of O(n³).
+// create, and flattens the whole elimination into one slot schedule.
 //
-// Storage stays dense (la.Matrix row-major), which the stamping layer
-// already produces; only the *work* is sparse. For the tiny-to-medium
-// systems here (n ≲ a few hundred) that removes the indirection and
-// scatter/gather costs of compressed-column storage while keeping the
-// asymptotic win over dense elimination.
+// Values live in a packed array with one slot per structural position:
+// the caller's stamped pattern first, in the order it was given to
+// Analyze (duplicates dropped), then the fill-in positions. Because the
+// pattern slots are numbered by the caller's own pattern, a stamping
+// layer can map its devices to slots once per topology without
+// consulting the Symbolic, and stamp straight into the packed array.
+// For the systems here (n ≲ a few hundred, a few entries per row) the
+// packed values fit in L1 cache where a dense row-major matrix does
+// not. Pack gathers a dense matrix into the slot layout for callers
+// that stamp densely.
 //
-// Analyze additionally partitions the elimination order into
-// supernodes — maximal runs of consecutive steps whose columns share
-// one sub-pattern and whose pivot rows share one U structure, which
-// the repeated gate-stage blocks of MNA matrices produce in abundance.
-// The numeric phase eliminates each supernode with a blocked kernel
-// (unrolled rank-k trailing updates, one pass per exterior row instead
-// of one per step), bit-identical to the scalar schedule: same pivot
-// order, same per-position accumulation order, same guard decisions.
+// FactorSolve refactors a packed array by replaying the schedule: per
+// pivot step, the pivot slot, the pivot row's U slots, and per lower
+// row a multiplier slot plus target slots aligned with the U slots. No
+// pivot search, no pattern discovery, no index arithmetic, no divisions
+// beyond one reciprocal per pivot, no allocations, and O(nnz +
+// flops)-proportional work.
 //
 // The static pivot order is chosen for the representative values seen
 // at Analyze time. If the values later drift so far that a scheduled
@@ -49,9 +47,9 @@ import (
 
 // ErrPivot reports that a statically scheduled pivot became too small
 // relative to its row during a numeric refactor. The factorization is
-// abandoned mid-sweep (the matrix is partially clobbered); the caller
-// should re-stamp, solve densely with partial pivoting, and request a
-// fresh Analyze before the next sparse refactor.
+// abandoned mid-sweep (the packed values are partially clobbered); the
+// caller should re-stamp, solve densely with partial pivoting, and
+// request a fresh Analyze before the next sparse refactor.
 var ErrPivot = errors.New("sparse: static pivot below stability threshold")
 
 // Options tunes the symbolic analysis and the numeric stability guard.
@@ -80,8 +78,8 @@ func (o *Options) defaults() {
 
 // Symbolic is the result of the one-time analysis of a sparsity
 // pattern: the static pivot order, the fill-in positions elimination
-// will create, and the flattened elimination schedule the numeric
-// phase replays. A Symbolic is immutable after Analyze and safe for
+// will create, and the flattened slot schedule the numeric phase
+// replays. A Symbolic is immutable after Analyze and safe for
 // concurrent use; per-solve state lives in Numeric.
 type Symbolic struct {
 	n           int
@@ -107,25 +105,21 @@ type Symbolic struct {
 	upCols  []int32
 	upSteps []int32
 
-	// touched lists every structural position (input pattern plus
-	// fill-in) as dense row-major offsets; stamp lists the deduplicated
-	// input pattern only. Callers rebuilding a matrix for refactoring
-	// must guarantee zeros at touched positions not explicitly stamped
-	// — copying a base matrix over the touched offsets does exactly
-	// that, because fill positions are never stamped.
-	touched []int32
-	stamp   []int32
+	// The same schedule in packed slots. pivSlot[k] holds step k's
+	// pivot; upSlot (indexed like upCols) the pivot row's U entries;
+	// mulSlot (indexed like lowSteps) each lower row's entry in the
+	// pivot column, which becomes its multiplier; tgtSlot the lower
+	// rows' entries in the U columns, len(U) per lower row, aligned
+	// with upSlot and laid out in elimination order so the kernel walks
+	// it with one running cursor.
+	pivSlot []int32
+	upSlot  []int32
+	mulSlot []int32
+	tgtSlot []int32
 
-	// Supernode partition of the elimination order: supernode t covers
-	// the consecutive steps [snodePtr[t], snodePtr[t+1]). Steps merge
-	// when their columns share one sub-pattern below the supernode and
-	// their pivot rows share one U structure beyond it — exactly the
-	// shape the chained gate stages of MNA matrices produce — which
-	// lets the numeric phase eliminate the whole run with dense-block
-	// kernels instead of step-at-a-time scatter.
-	snodePtr []int32
-	snodes   int // supernodes of width >= 2
-	maxWidth int // widest supernode (1 when nothing merges, 0 when n == 0)
+	// touched maps every slot to its dense row-major offset: the
+	// deduplicated input pattern first, in input order, then fill-in.
+	touched []int32
 
 	fill int
 }
@@ -137,73 +131,28 @@ func (s *Symbolic) N() int { return s.n }
 // beyond the stamped pattern.
 func (s *Symbolic) Fill() int { return s.fill }
 
-// NNZ returns the number of structural positions (pattern plus fill).
+// NNZ returns the number of structural positions (pattern plus fill),
+// which is also the length of the packed value array.
 func (s *Symbolic) NNZ() int { return len(s.touched) }
 
-// Touched returns the dense row-major offsets of every structural
-// position (stamped pattern plus fill-in). The slice is owned by the
-// Symbolic and must not be modified.
+// Touched returns, for every slot of the packed value array, the dense
+// row-major offset of its structural position: the input pattern's
+// distinct offsets first, in the order Analyze received them, then the
+// fill-in positions. The slice is owned by the Symbolic and must not
+// be modified.
 func (s *Symbolic) Touched() []int32 { return s.touched }
 
-// Stamp returns the deduplicated dense offsets of the input pattern.
-// The slice is owned by the Symbolic and must not be modified.
-func (s *Symbolic) Stamp() []int32 { return s.stamp }
-
-// Supernodes returns the number of multi-column supernodes (width >= 2)
-// the analysis detected; the numeric phase eliminates each with the
-// blocked kernel instead of the scalar schedule.
-func (s *Symbolic) Supernodes() int { return s.snodes }
-
-// MaxSupernodeWidth returns the width of the widest supernode: 1 when
-// no columns merge, 0 for an empty system.
-func (s *Symbolic) MaxSupernodeWidth() int { return s.maxWidth }
-
-// maxSupernodeWidth caps how many columns one supernode may absorb:
-// wide enough to swallow the repeated gate-stage blocks that occur in
-// practice, small enough to bound the numeric phase's packed-multiplier
-// scratch.
-const maxSupernodeWidth = 32
-
-// mergeable reports whether consecutive elimination steps k and k+1 can
-// join one supernode: column k's sub-pattern must be column k+1's plus
-// the pivot row of step k+1, and pivot row k's U structure must be
-// pivot row k+1's plus the pivot column of step k+1. Chaining the
-// pairwise test over a run [k0, k1) then guarantees, by induction, that
-// every step k in the run has in-supernode targets exactly {k+1 ..
-// k1-1}, exterior targets exactly lowSteps[k1-1], and shared U columns
-// exactly upCols[k1-1] — the invariants the blocked kernel replays.
-func (s *Symbolic) mergeable(k int) bool {
-	lowK := s.lowSteps[s.lowPtr[k]:s.lowPtr[k+1]]
-	lowK1 := s.lowSteps[s.lowPtr[k+1]:s.lowPtr[k+2]]
-	if !minusOne(lowK, lowK1, int32(k+1)) {
-		return false
+// Pack gathers the structural positions of the dense matrix a into the
+// packed value array vals (length NNZ). Fill slots are copied like the
+// rest, so a must hold zeros at fill positions — true of any matrix
+// built by stamping the analyzed pattern onto zeros.
+//
+//hybrid:noalloc
+func (s *Symbolic) Pack(vals []float64, a *la.Matrix) {
+	data := a.Data
+	for slot, off := range s.touched {
+		vals[slot] = data[off]
 	}
-	upK := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
-	upK1 := s.upCols[s.upPtr[k+1]:s.upPtr[k+2]]
-	return minusOne(upK, upK1, s.colOf[k+1])
-}
-
-// minusOne reports whether a is exactly b with the single element drop
-// inserted somewhere, preserving the relative order of the common
-// elements (both schedules list targets in ascending matrix order, so
-// elementwise comparison suffices).
-func minusOne(a, b []int32, drop int32) bool {
-	if len(a) != len(b)+1 {
-		return false
-	}
-	dropped := false
-	j := 0
-	for _, v := range a {
-		if !dropped && v == drop {
-			dropped = true
-			continue
-		}
-		if j >= len(b) || b[j] != v {
-			return false
-		}
-		j++
-	}
-	return dropped
 }
 
 // Analyze runs the pilot factorization on a representative matrix a,
@@ -228,21 +177,25 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 	n := a.Rows
 	nn := n * n
 
-	exists := make([]bool, nn)
+	// slotOf numbers the structural positions: pattern offsets in input
+	// order first, fill-in as the pilot creates it.
+	slotOf := make([]int32, nn)
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
+	touched := make([]int32, 0, len(pattern))
+	vals := make([]float64, nn)
 	for _, off := range pattern {
 		if off < 0 || int(off) >= nn {
 			return nil, fmt.Errorf("sparse: pattern offset %d outside %dx%d matrix", off, n, n)
 		}
-		exists[off] = true
-	}
-	stamp := make([]int32, 0, len(pattern))
-	vals := make([]float64, nn)
-	for off := 0; off < nn; off++ {
-		if exists[off] {
-			stamp = append(stamp, int32(off))
+		if slotOf[off] < 0 {
+			slotOf[off] = int32(len(touched))
+			touched = append(touched, off)
 			vals[off] = a.Data[off]
 		}
 	}
+	exists := func(off int) bool { return slotOf[off] >= 0 }
 
 	activeRow := make([]bool, n)
 	activeCol := make([]bool, n)
@@ -251,11 +204,9 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 	for i := 0; i < n; i++ {
 		activeRow[i], activeCol[i] = true, true
 	}
-	for off, ok := range exists {
-		if ok {
-			rowCnt[off/n]++
-			colCnt[off%n]++
-		}
+	for _, off := range touched {
+		rowCnt[int(off)/n]++
+		colCnt[int(off)%n]++
 	}
 
 	s := &Symbolic{
@@ -265,10 +216,9 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 		colOf:       make([]int32, n),
 		lowPtr:      make([]int32, n+1),
 		upPtr:       make([]int32, n+1),
-		stamp:       stamp,
 	}
 	// Per-step schedules in matrix coordinates; converted to step
-	// indices once the full pivot order is known.
+	// indices and slots once the full pivot order is known.
 	lowRows := make([][]int32, n)
 	upCols := make([][]int32, n)
 	colMax := make([]float64, n)
@@ -284,7 +234,7 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 			}
 			base := i * n
 			for j := 0; j < n; j++ {
-				if activeCol[j] && exists[base+j] {
+				if activeCol[j] && exists(base+j) {
 					if v := math.Abs(vals[base+j]); v > colMax[j] {
 						colMax[j] = v
 					}
@@ -301,7 +251,7 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 			}
 			base := i * n
 			for j := 0; j < n; j++ {
-				if !activeCol[j] || !exists[base+j] {
+				if !activeCol[j] || !exists(base+j) {
 					continue
 				}
 				v := math.Abs(vals[base+j])
@@ -322,19 +272,19 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 		pbase := bestI * n
 		// U structure of the pivot row: active columns it touches.
 		for j := 0; j < n; j++ {
-			if activeCol[j] && exists[pbase+j] {
+			if activeCol[j] && exists(pbase+j) {
 				upCols[k] = append(upCols[k], int32(j))
 			}
 		}
 		// Row/column counts shrink as the pivot row and column retire.
 		for j := 0; j < n; j++ {
-			if activeCol[j] && exists[pbase+j] {
+			if activeCol[j] && exists(pbase+j) {
 				colCnt[j]--
 			}
 		}
 		piv := vals[pbase+bestJ]
 		for i := 0; i < n; i++ {
-			if !activeRow[i] || !exists[i*n+bestJ] {
+			if !activeRow[i] || !exists(i*n+bestJ) {
 				continue
 			}
 			rowCnt[i]--
@@ -344,8 +294,9 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 			base := i * n
 			for _, j32 := range upCols[k] {
 				j := int(j32)
-				if !exists[base+j] {
-					exists[base+j] = true
+				if !exists(base + j) {
+					slotOf[base+j] = int32(len(touched))
+					touched = append(touched, int32(base+j))
 					s.fill++
 					rowCnt[i]++
 					colCnt[j]++
@@ -354,77 +305,61 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 			}
 		}
 	}
+	s.touched = touched
 
-	// Matrix coordinates -> elimination steps.
+	// Matrix coordinates -> elimination steps and slots.
 	stepOfRow := make([]int32, n)
 	stepOfCol := make([]int32, n)
 	for k := 0; k < n; k++ {
 		stepOfRow[s.rowOf[k]] = int32(k)
 		stepOfCol[s.colOf[k]] = int32(k)
 	}
-	nLow, nUp := 0, 0
+	nLow, nUp, nTgt := 0, 0, 0
 	for k := 0; k < n; k++ {
 		nLow += len(lowRows[k])
 		nUp += len(upCols[k])
+		nTgt += len(lowRows[k]) * len(upCols[k])
 	}
 	s.lowSteps = make([]int32, 0, nLow)
+	s.mulSlot = make([]int32, 0, nLow)
 	s.upCols = make([]int32, 0, nUp)
 	s.upSteps = make([]int32, 0, nUp)
+	s.upSlot = make([]int32, 0, nUp)
+	s.tgtSlot = make([]int32, 0, nTgt)
+	s.pivSlot = make([]int32, n)
 	for k := 0; k < n; k++ {
-		s.lowPtr[k] = int32(len(s.lowSteps))
-		for _, r := range lowRows[k] {
-			s.lowSteps = append(s.lowSteps, stepOfRow[r])
-		}
+		pbase := int(s.rowOf[k]) * n
+		pc := int(s.colOf[k])
+		s.pivSlot[k] = slotOf[pbase+pc]
 		s.upPtr[k] = int32(len(s.upCols))
 		for _, c := range upCols[k] {
 			s.upCols = append(s.upCols, c)
 			s.upSteps = append(s.upSteps, stepOfCol[c])
+			s.upSlot = append(s.upSlot, slotOf[pbase+int(c)])
+		}
+		s.lowPtr[k] = int32(len(s.lowSteps))
+		for _, r := range lowRows[k] {
+			base := int(r) * n
+			s.lowSteps = append(s.lowSteps, stepOfRow[r])
+			s.mulSlot = append(s.mulSlot, slotOf[base+pc])
+			for _, c := range upCols[k] {
+				s.tgtSlot = append(s.tgtSlot, slotOf[base+int(c)])
+			}
 		}
 	}
 	s.lowPtr[n] = int32(len(s.lowSteps))
 	s.upPtr[n] = int32(len(s.upCols))
-
-	s.touched = make([]int32, 0, len(stamp)+s.fill)
-	for off := 0; off < nn; off++ {
-		if exists[off] {
-			s.touched = append(s.touched, int32(off))
-		}
-	}
-
-	// Supernode partition: greedy maximal runs of pairwise-mergeable
-	// steps, width-capped. Runs of length one are singleton supernodes
-	// and keep the scalar schedule.
-	s.snodePtr = make([]int32, 1, n+1)
-	for k := 0; k < n; {
-		k1 := k + 1
-		for k1 < n && k1-k < maxSupernodeWidth && s.mergeable(k1-1) {
-			k1++
-		}
-		if w := k1 - k; w > s.maxWidth {
-			s.maxWidth = w
-		}
-		if k1-k >= 2 {
-			s.snodes++
-		}
-		s.snodePtr = append(s.snodePtr, int32(k1))
-		k = k1
-	}
 	return s, nil
 }
 
 // Numeric holds the per-solver mutable state of the numeric phase: the
-// hoisted pivot reciprocals, the permuted solution workspace, and the
-// blocked kernel's packed-multiplier scratch. One Numeric serves one
-// solver goroutine; create more with NewNumeric for concurrent use of
-// the same Symbolic.
+// hoisted pivot reciprocals and the permuted solution workspace. One
+// Numeric serves one solver goroutine; create more with NewNumeric for
+// concurrent use of the same Symbolic.
 type Numeric struct {
 	s     *Symbolic
 	recip []float64
 	xw    []float64
-	// Blocked-kernel scratch: the packed nonzero multipliers of one
-	// exterior row against one supernode, and their pivot-row bases.
-	lv   []float64
-	lrow []int
 }
 
 // NewNumeric returns a numeric-phase workspace bound to s.
@@ -433,138 +368,57 @@ func (s *Symbolic) NewNumeric() *Numeric {
 		s:     s,
 		recip: make([]float64, s.n),
 		xw:    make([]float64, s.n),
-		lv:    make([]float64, s.maxWidth),
-		lrow:  make([]int, s.maxWidth),
 	}
 }
 
-// FactorSolve refactors a over the analyzed pattern and solves a·x = b
-// in the same sweep, replaying the precomputed elimination schedule
-// with the static pivot order. Supernodes eliminate through the blocked
-// kernel, singleton steps through the scalar schedule; the two produce
-// bit-identical factors, reciprocals and solutions (see stepBlocked for
-// the argument). a is modified in place (its structural positions come
-// to hold the LU factors); values outside the touched pattern are
-// neither read nor written, so off-pattern garbage is harmless. b is
-// not modified; x and b must have length n and may alias each other.
-// The call performs no allocations.
+// FactorSolve refactors the packed values vals (length NNZ, in the
+// Symbolic's slot order, fill slots zero) and solves a·x = b in the
+// same sweep, replaying the precomputed slot schedule with the static
+// pivot order. vals is modified in place: its slots come to hold the
+// LU factors. b is not modified; x and b must have length n and may
+// alias each other. The call performs no allocations.
+//
+// Per position, the arithmetic is the classical right-looking scalar
+// elimination's, in its order: each step guards its pivot, stores one
+// reciprocal, and for every lower row with a nonzero multiplier
+// subtracts multiplier times pivot-row entry from each target in U
+// order, then updates the permuted right-hand side. Zero multipliers
+// are skipped rather than applied, which keeps signed zeros and
+// non-finite pivot-row values out of untouched rows.
 //
 // Each pivot is guarded: if its magnitude falls below RefactorRel
 // times the largest magnitude in its updated row, FactorSolve returns
-// ErrPivot with a partially clobbered — re-stamp, solve densely, and
-// re-Analyze before retrying the sparse path. The failing step is the
-// same one the scalar schedule would fail on, though the partial
-// clobber left behind may differ.
+// ErrPivot with vals partially clobbered — re-stamp, solve densely,
+// and re-Analyze before retrying the sparse path.
 //
 // "Performs no allocations" is enforced statically by hybridlint's
-// noalloc analyzer (this annotation) and dynamically by CI's "enforce
-// zero-allocation sparse numeric refactor" gate on every size row of
-// BenchmarkSparseFactorSolve's -benchmem allocs/op.
+// noalloc analyzer (this annotation) and dynamically by CI's
+// zero-allocation gate on every row of BenchmarkSparseFactorSolve.
 //
 //hybrid:noalloc
-func (nu *Numeric) FactorSolve(a *la.Matrix, x, b []float64) error {
+func (nu *Numeric) FactorSolve(vals, x, b []float64) error {
 	s := nu.s
 	n := s.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("sparse: matrix %dx%d does not match analyzed size %d", a.Rows, a.Cols, n)
+	if len(vals) != len(s.touched) {
+		return fmt.Errorf("sparse: %d packed values do not match %d analyzed slots", len(vals), len(s.touched))
 	}
 	if len(x) != n || len(b) != n {
 		return fmt.Errorf("sparse: slice lengths (%d, %d) do not match system size %d", len(x), len(b), n)
 	}
-	data := a.Data
 	xw := nu.xw
+	recip := nu.recip
 	// Gather the RHS into elimination order.
 	for k := 0; k < n; k++ {
 		xw[k] = b[s.rowOf[k]]
 	}
-	for t := 0; t < len(s.snodePtr)-1; t++ {
-		k0, k1 := int(s.snodePtr[t]), int(s.snodePtr[t+1])
-		var err error
-		if k1-k0 == 1 {
-			err = nu.stepScalar(data, n, k0)
-		} else {
-			err = nu.stepBlocked(data, n, k0, k1)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	nu.backSolve(data, x)
-	return nil
-}
-
-// stepScalar replays one singleton elimination step: the scalar
-// schedule the pre-supernodal refactor ran for every step, and the
-// reference the blocked kernel must match bit-for-bit.
-func (nu *Numeric) stepScalar(data []float64, n, k int) error {
-	s := nu.s
-	xw := nu.xw
-	rowK := data[int(s.rowOf[k])*n : int(s.rowOf[k])*n+n]
-	pc := int(s.colOf[k])
-	up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
-	piv := rowK[pc]
-	// Stability guard against the row's current magnitudes.
-	rmax := math.Abs(piv)
-	for _, c := range up {
-		if v := math.Abs(rowK[c]); v > rmax {
-			rmax = v
-		}
-	}
-	if piv == 0 || math.Abs(piv) < s.refactorRel*rmax {
-		return ErrPivot
-	}
-	r := 1 / piv
-	nu.recip[k] = r
-	xk := xw[k]
-	for _, si := range s.lowSteps[s.lowPtr[k]:s.lowPtr[k+1]] {
-		rowI := data[int(s.rowOf[si])*n : int(s.rowOf[si])*n+n]
-		l := rowI[pc] * r
-		rowI[pc] = l
-		if l != 0 {
-			for _, c := range up {
-				rowI[c] -= l * rowK[c]
-			}
-			xw[si] -= l * xk
-		}
-	}
-	return nil
-}
-
-// stepBlocked eliminates the supernode covering steps [k0, k1) in two
-// phases. Phase A factors the diagonal block: each step runs its exact
-// scalar body restricted to the in-supernode target rows (by the
-// supernode invariant those are precisely steps k+1 .. k1-1), so every
-// guard value, reciprocal, pivot-row entry and permuted-RHS entry a
-// later read consumes is bit-identical to the scalar sweep — exterior
-// rows never write pivot rows, so deferring them cannot perturb this
-// phase. Phase B then processes each exterior row once against the
-// whole block: its multipliers are computed sequentially in step order
-// (each after the in-block column updates of the previous steps,
-// exactly as the scalar schedule interleaves them), zero multipliers
-// are skipped just as the scalar `l != 0` test skips them (skipping is
-// load-bearing for bit-identity: updating with a zero multiplier could
-// still flip a signed zero or propagate a non-finite pivot-row value),
-// and the surviving multipliers apply to the shared trailing columns
-// as an unrolled rank-k update. Per memory position the update
-// sequence is the scalar one — same multiplier values, same pivot-row
-// values, same step order, same expression shape (so platforms that
-// fuse multiply-subtract fuse both kernels identically) — only the
-// interleaving across distinct positions changes, which floating-point
-// cannot observe.
-//
-//hybrid:noalloc
-func (nu *Numeric) stepBlocked(data []float64, n, k0, k1 int) error {
-	s := nu.s
-	xw := nu.xw
-	// Phase A: diagonal block.
-	for k := k0; k < k1; k++ {
-		rowK := data[int(s.rowOf[k])*n : int(s.rowOf[k])*n+n]
-		pc := int(s.colOf[k])
-		up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
-		piv := rowK[pc]
+	tgt := s.tgtSlot
+	for k := 0; k < n; k++ {
+		up := s.upSlot[s.upPtr[k]:s.upPtr[k+1]]
+		piv := vals[s.pivSlot[k]]
+		// Stability guard against the row's current magnitudes.
 		rmax := math.Abs(piv)
-		for _, c := range up {
-			if v := math.Abs(rowK[c]); v > rmax {
+		for _, u := range up {
+			if v := math.Abs(vals[u]); v > rmax {
 				rmax = v
 			}
 		}
@@ -572,148 +426,37 @@ func (nu *Numeric) stepBlocked(data []float64, n, k0, k1 int) error {
 			return ErrPivot
 		}
 		r := 1 / piv
-		nu.recip[k] = r
+		recip[k] = r
 		xk := xw[k]
-		for kk := k + 1; kk < k1; kk++ {
-			rowI := data[int(s.rowOf[kk])*n : int(s.rowOf[kk])*n+n]
-			l := rowI[pc] * r
-			rowI[pc] = l
+		lo, hi := s.lowPtr[k], s.lowPtr[k+1]
+		for e := lo; e < hi; e++ {
+			ts := tgt[:len(up)]
+			tgt = tgt[len(up):]
+			ms := s.mulSlot[e]
+			l := vals[ms] * r
+			vals[ms] = l
 			if l != 0 {
-				for _, c := range up {
-					rowI[c] -= l * rowK[c]
+				for t, u := range up {
+					vals[ts[t]] -= l * vals[u]
 				}
-				xw[kk] -= l * xk
+				xw[s.lowSteps[e]] -= l * xk
 			}
 		}
 	}
-	// Phase B: exterior rows. The supernode invariant makes the last
-	// step's schedules the shared ones: its lower targets are exactly
-	// the rows below the supernode, its U columns exactly the trailing
-	// columns every step in the block updates beyond the block itself.
-	ext := s.lowSteps[s.lowPtr[k1-1]:s.lowPtr[k1]]
-	shared := s.upCols[s.upPtr[k1-1]:s.upPtr[k1]]
-	lv, lrow := nu.lv, nu.lrow
-	for _, si := range ext {
-		rowI := data[int(s.rowOf[si])*n : int(s.rowOf[si])*n+n]
-		na := 0
-		for j := k0; j < k1; j++ {
-			base := int(s.rowOf[j]) * n
-			rowJ := data[base : base+n]
-			pc := int(s.colOf[j])
-			l := rowI[pc] * nu.recip[j]
-			rowI[pc] = l
-			if l != 0 {
-				for jj := j + 1; jj < k1; jj++ {
-					c := int(s.colOf[jj])
-					rowI[c] -= l * rowJ[c]
-				}
-				xw[si] -= l * xw[j]
-				lv[na] = l
-				lrow[na] = base
-				na++
-			}
-		}
-		// Fused trailing update over the shared columns, unrolled in
-		// chunks of four. Chunks apply in packing (= step) order, so
-		// each position still sees its multipliers in the scalar
-		// sequence.
-		a := 0
-		for ; a+4 <= na; a += 4 {
-			l0, l1, l2, l3 := lv[a], lv[a+1], lv[a+2], lv[a+3]
-			r0 := data[lrow[a] : lrow[a]+n]
-			r1 := data[lrow[a+1] : lrow[a+1]+n]
-			r2 := data[lrow[a+2] : lrow[a+2]+n]
-			r3 := data[lrow[a+3] : lrow[a+3]+n]
-			for _, c := range shared {
-				v := rowI[c]
-				v -= l0 * r0[c]
-				v -= l1 * r1[c]
-				v -= l2 * r2[c]
-				v -= l3 * r3[c]
-				rowI[c] = v
-			}
-		}
-		switch na - a {
-		case 3:
-			l0, l1, l2 := lv[a], lv[a+1], lv[a+2]
-			r0 := data[lrow[a] : lrow[a]+n]
-			r1 := data[lrow[a+1] : lrow[a+1]+n]
-			r2 := data[lrow[a+2] : lrow[a+2]+n]
-			for _, c := range shared {
-				v := rowI[c]
-				v -= l0 * r0[c]
-				v -= l1 * r1[c]
-				v -= l2 * r2[c]
-				rowI[c] = v
-			}
-		case 2:
-			l0, l1 := lv[a], lv[a+1]
-			r0 := data[lrow[a] : lrow[a]+n]
-			r1 := data[lrow[a+1] : lrow[a+1]+n]
-			for _, c := range shared {
-				v := rowI[c]
-				v -= l0 * r0[c]
-				v -= l1 * r1[c]
-				rowI[c] = v
-			}
-		case 1:
-			l0 := lv[a]
-			r0 := data[lrow[a] : lrow[a]+n]
-			for _, c := range shared {
-				rowI[c] -= l0 * r0[c]
-			}
-		}
-	}
-	return nil
-}
-
-// backSolve runs the back substitution over the U schedule (divisions
-// hoisted into the stored reciprocals) and scatters the solution to
-// natural unknown order.
-func (nu *Numeric) backSolve(data []float64, x []float64) {
-	s := nu.s
-	n := s.n
-	xw := nu.xw
-	recip := nu.recip
+	// Back substitution over the U schedule, divisions hoisted into the
+	// stored reciprocals, then scatter to natural unknown order.
 	for k := n - 1; k >= 0; k-- {
-		rowK := data[int(s.rowOf[k])*n : int(s.rowOf[k])*n+n]
-		up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
-		us := s.upSteps[s.upPtr[k]:s.upPtr[k+1]]
+		lo, hi := s.upPtr[k], s.upPtr[k+1]
+		up := s.upSlot[lo:hi]
+		us := s.upSteps[lo:hi]
 		sum := xw[k]
-		for t, c := range up {
-			sum -= rowK[c] * xw[us[t]]
+		for t, u := range up {
+			sum -= vals[u] * xw[us[t]]
 		}
 		xw[k] = sum * recip[k]
 	}
 	for k := 0; k < n; k++ {
 		x[s.colOf[k]] = xw[k]
 	}
-}
-
-// factorSolveScalar is the pre-supernodal refactor, kept verbatim as
-// the bit-identity reference: FactorSolve must produce exactly the
-// same LU values, reciprocals and solution, and fail on exactly the
-// same step. Exercised by the property tests and the supernode fuzz
-// target only.
-func (nu *Numeric) factorSolveScalar(a *la.Matrix, x, b []float64) error {
-	s := nu.s
-	n := s.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("sparse: matrix %dx%d does not match analyzed size %d", a.Rows, a.Cols, n)
-	}
-	if len(x) != n || len(b) != n {
-		return fmt.Errorf("sparse: slice lengths (%d, %d) do not match system size %d", len(x), len(b), n)
-	}
-	data := a.Data
-	xw := nu.xw
-	for k := 0; k < n; k++ {
-		xw[k] = b[s.rowOf[k]]
-	}
-	for k := 0; k < n; k++ {
-		if err := nu.stepScalar(data, n, k); err != nil {
-			return err
-		}
-	}
-	nu.backSolve(data, x)
 	return nil
 }

@@ -60,7 +60,7 @@ func TestFactorSolveMatchesDense(t *testing.T) {
 		nu := sym.NewNumeric()
 		x := make([]float64, n)
 		work := a.Clone()
-		if err := nu.FactorSolve(work, x, b); err != nil {
+		if _, err := packedSolve(nu, work, x, b); err != nil {
 			t.Fatalf("trial %d (n=%d): FactorSolve: %v", trial, n, err)
 		}
 		for i := range x {
@@ -97,7 +97,7 @@ func TestRefactorNewValues(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		want := solveDense(t, work, b)
-		if err := nu.FactorSolve(work, x, b); err != nil {
+		if _, err := packedSolve(nu, work, x, b); err != nil {
 			t.Fatalf("round %d: FactorSolve: %v", round, err)
 		}
 		for i := range x {
@@ -119,7 +119,7 @@ func TestN1System(t *testing.T) {
 		t.Fatalf("n=1 symbolic: N=%d Fill=%d NNZ=%d", sym.N(), sym.Fill(), sym.NNZ())
 	}
 	x := make([]float64, 1)
-	if err := sym.NewNumeric().FactorSolve(a, x, []float64{10}); err != nil {
+	if _, err := packedSolve(sym.NewNumeric(), a, x, []float64{10}); err != nil {
 		t.Fatalf("FactorSolve: %v", err)
 	}
 	if x[0] != 2 {
@@ -163,7 +163,7 @@ func TestZeroDiagonalPivoting(t *testing.T) {
 	b := []float64{5, 2}
 	want := solveDense(t, a, b)
 	x := make([]float64, 2)
-	if err := sym.NewNumeric().FactorSolve(a.Clone(), x, b); err != nil {
+	if _, err := packedSolve(sym.NewNumeric(), a, x, b); err != nil {
 		t.Fatalf("FactorSolve: %v", err)
 	}
 	for i := range x {
@@ -189,7 +189,7 @@ func TestStaticPivotFallback(t *testing.T) {
 	}
 	nu := sym.NewNumeric()
 	x := make([]float64, 2)
-	if err := nu.FactorSolve(a.Clone(), x, []float64{1, 1}); err != nil {
+	if _, err := packedSolve(nu, a, x, []float64{1, 1}); err != nil {
 		t.Fatalf("representative FactorSolve: %v", err)
 	}
 	// Same pattern, degenerate values under the static order.
@@ -198,7 +198,7 @@ func TestStaticPivotFallback(t *testing.T) {
 	bad.Set(0, 1, 1e3)
 	bad.Set(1, 0, 1)
 	bad.Set(1, 1, 1)
-	err = nu.FactorSolve(bad, x, []float64{1, 1})
+	_, err = packedSolve(nu, bad, x, []float64{1, 1})
 	if !errors.Is(err, ErrPivot) {
 		t.Fatalf("degenerate FactorSolve error = %v, want ErrPivot", err)
 	}
@@ -215,9 +215,9 @@ func TestStaticPivotFallback(t *testing.T) {
 	}
 }
 
-// TestOffPatternGarbageIgnored verifies both contracts that let the
-// solver skip full zeroing: Analyze masks off-pattern values, and
-// FactorSolve never reads them.
+// TestOffPatternGarbageIgnored verifies both contracts that let a
+// dense-stamping caller skip full zeroing: Analyze masks off-pattern
+// values, and Pack never reads them.
 func TestOffPatternGarbageIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 6
@@ -249,7 +249,7 @@ func TestOffPatternGarbageIgnored(t *testing.T) {
 		t.Fatalf("Analyze on dirty matrix: %v", err)
 	}
 	x := make([]float64, n)
-	if err := sym.NewNumeric().FactorSolve(dirty, x, b); err != nil {
+	if _, err := packedSolve(sym.NewNumeric(), dirty, x, b); err != nil {
 		t.Fatalf("FactorSolve on dirty matrix: %v", err)
 	}
 	for i := range x {
@@ -297,10 +297,12 @@ func TestFactorSolveRejectsSizeMismatch(t *testing.T) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	nu := sym.NewNumeric()
-	if err := nu.FactorSolve(la.NewMatrix(3, 3), make([]float64, 3), make([]float64, 3)); err == nil {
-		t.Fatal("size-mismatched matrix accepted")
+	if err := nu.FactorSolve(make([]float64, sym.NNZ()+1), make([]float64, 2), make([]float64, 2)); err == nil {
+		t.Fatal("size-mismatched packed values accepted")
 	}
-	if err := nu.FactorSolve(a, make([]float64, 1), make([]float64, 2)); err == nil {
+	vals := make([]float64, sym.NNZ())
+	sym.Pack(vals, a)
+	if err := nu.FactorSolve(vals, make([]float64, 1), make([]float64, 2)); err == nil {
 		t.Fatal("short solution slice accepted")
 	}
 }
@@ -316,15 +318,15 @@ func TestFactorSolveNoAllocs(t *testing.T) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	nu := sym.NewNumeric()
-	work := a.Clone()
+	vals := make([]float64, sym.NNZ())
 	x := make([]float64, n)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i + 1)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		copy(work.Data, a.Data)
-		if err := nu.FactorSolve(work, x, b); err != nil {
+		sym.Pack(vals, a)
+		if err := nu.FactorSolve(vals, x, b); err != nil {
 			t.Fatalf("FactorSolve: %v", err)
 		}
 	})

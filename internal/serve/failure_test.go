@@ -70,10 +70,11 @@ func TestServePanickingJobFails(t *testing.T) {
 	}
 }
 
-// TestServeStatusUnencodableResult: a done job whose result holds a NaN
-// normalized ratio (a zero inertial baseline) cannot be encoded as
-// JSON; its status answers 500 with an error body instead of 200 with
-// an empty one.
+// TestServeStatusUnencodableResult: a done job whose result cannot be
+// encoded as JSON answers 500 with an error body instead of 200 with an
+// empty one. An undefined normalized ratio encodes (as null, see
+// TestServeCircuitUndefinedRatios); a NaN deviation area, which no
+// evaluation produces, still cannot.
 func TestServeStatusUnencodableResult(t *testing.T) {
 	srv, hs := newTestServer(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -81,6 +82,7 @@ func TestServeStatusUnencodableResult(t *testing.T) {
 	j := srv.reg.Add(JobSpec{Kind: session.KindGate}, "client", nil, ctx, cancel)
 	srv.reg.Start(j)
 	srv.reg.Finish(j, StateDone, &session.Result{Kind: session.KindGate, Gate: []eval.RunResult{{
+		Area:       map[string]float64{eval.ModelHM: math.NaN()},
 		Normalized: map[string]float64{eval.ModelHM: math.NaN()},
 	}}}, nil)
 

@@ -122,8 +122,8 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeJSON answers v as a JSON body with the given status. The value
 // is marshalled before any header goes out, so a value JSON cannot
-// encode (a NaN ratio) answers 500 with an error body instead of the
-// status with an empty body.
+// encode (a non-finite float outside the null-encoded ratios) answers
+// 500 with an error body instead of the status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {

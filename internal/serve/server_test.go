@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -188,6 +189,77 @@ func TestServeGateJobWarmRepeat(t *testing.T) {
 	}
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("warm repeat changed the result payload")
+	}
+}
+
+// TestServeCircuitUndefinedRatios: an rca4 circuit job whose short
+// stimulus leaves some nets still (zero inertial baseline, so undefined
+// normalized ratios) finishes and reads back as done, with each
+// undefined ratio encoded as null and decoded back to NaN.
+func TestServeCircuitUndefinedRatios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analog transients; skipped in -short mode")
+	}
+	_, hs := newTestServer(t, Options{})
+	id := submit(t, hs.URL, JobSpec{Kind: session.KindCircuit, Circuit: "rca4",
+		Stimuli: []sweep.Stimulus{testStimulus(4)}, Seeds: []int64{1}}, "")
+	var (
+		st  JobStatus
+		raw struct {
+			Result struct {
+				Circuit struct {
+					Normalized      map[string]map[string]*float64
+					TotalNormalized map[string]*float64
+				}
+			} `json:"result"`
+		}
+	)
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body.String())
+		}
+		if err := json.Unmarshal(body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State.terminal() {
+			if err := json.Unmarshal(body.Bytes(), &raw); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", id, st.State)
+		}
+	}
+	if st.State != StateDone || st.Result == nil || st.Result.Circuit == nil {
+		t.Fatalf("job ended %s (%s) without a circuit result", st.State, st.Error)
+	}
+	nulls := 0
+	for net, ratios := range raw.Result.Circuit.Normalized {
+		for model, r := range ratios {
+			got := st.Result.Circuit.Normalized[net][model]
+			if r == nil {
+				nulls++
+				if !math.IsNaN(got) {
+					t.Errorf("%s/%s: null decoded as %g, want NaN", net, model, got)
+				}
+			} else if *r != got {
+				t.Errorf("%s/%s: %g decoded as %g", net, model, *r, got)
+			}
+		}
+	}
+	if nulls == 0 {
+		t.Fatalf("no undefined ratio in the result; the stimulus no longer leaves a net still: %+v", st.Result.Circuit.GoldenEv)
+	}
+	if len(raw.Result.Circuit.TotalNormalized) == 0 {
+		t.Fatal("no total ratios encoded")
 	}
 }
 

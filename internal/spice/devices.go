@@ -158,17 +158,7 @@ func (s *capState) stampIdx(ctx *StampContext, ia, ib int, c float64) {
 	if ctx.DC {
 		return // open circuit at DC
 	}
-	if ctx.capFresh {
-		switch ctx.Method {
-		case BackwardEuler:
-			s.geq = c / ctx.Dt
-			s.ieq = s.geq * s.vPrev
-		default: // Trapezoidal
-			s.geq = 2 * c / ctx.Dt
-			s.ieq = s.geq*s.vPrev + s.iPrev
-		}
-	}
-	geq, ieq := s.geq, s.ieq
+	geq, ieq := s.companion(ctx, c)
 	data, nc := ctx.G.Data, ctx.G.Cols
 	rhs := ctx.RHS
 	if ia >= 0 {
@@ -186,6 +176,41 @@ func (s *capState) stampIdx(ctx *StampContext, ia, ib int, c float64) {
 			row[ia] -= geq
 		}
 		rhs[ib] -= ieq
+	}
+}
+
+// companion returns the companion model (geq, ieq) of capacitance c
+// for the context's step, recomputing the cache on the first iteration
+// of a solve (ctx.capFresh).
+func (s *capState) companion(ctx *StampContext, c float64) (geq, ieq float64) {
+	if ctx.capFresh {
+		switch ctx.Method {
+		case BackwardEuler:
+			s.geq = c / ctx.Dt
+			s.ieq = s.geq * s.vPrev
+		default: // Trapezoidal
+			s.geq = 2 * c / ctx.Dt
+			s.ieq = s.geq*s.vPrev + s.iPrev
+		}
+	}
+	return s.geq, s.ieq
+}
+
+// stampRHSIdx is the right-hand-side half of stampIdx: the same
+// companion update and the same RHS accumulations in the same order,
+// without the matrix entries. The sparse solver uses it when it keeps
+// the previous solve's linear base matrix (geq depends only on c, Dt
+// and Method) and restamps only the equivalent currents.
+func (s *capState) stampRHSIdx(ctx *StampContext, ia, ib int, c float64) {
+	if ctx.DC {
+		return
+	}
+	_, ieq := s.companion(ctx, c)
+	if ia >= 0 {
+		ctx.RHS[ia] += ieq
+	}
+	if ib >= 0 {
+		ctx.RHS[ib] -= ieq
 	}
 }
 
@@ -223,6 +248,11 @@ func (c *Capacitor) Nodes() []NodeID { return []NodeID{c.a, c.b} }
 // Stamp implements Device.
 func (c *Capacitor) Stamp(ctx *StampContext) {
 	c.state.stampIdx(ctx, nodeVar(c.a), nodeVar(c.b), c.C)
+}
+
+// stampRHS restamps only the capacitor's equivalent current.
+func (c *Capacitor) stampRHS(ctx *StampContext) {
+	c.state.stampRHSIdx(ctx, nodeVar(c.a), nodeVar(c.b), c.C)
 }
 
 // Init implements Stateful.
@@ -268,6 +298,12 @@ func (v *VSource) Stamp(ctx *StampContext) {
 	// Branch row: V(plus) - V(minus) = signal(t).
 	ctx.addG(ib, ip, 1)
 	ctx.addG(ib, im, -1)
+	v.stampRHS(ctx)
+}
+
+// stampRHS stamps the branch equation's right-hand side, signal(t).
+func (v *VSource) stampRHS(ctx *StampContext) {
+	ib := ctx.circuit.branchVar(v.branch)
 	if ctx.srcVals != nil {
 		ctx.addRHS(ib, ctx.srcVals[v.branch])
 	} else {
@@ -301,3 +337,6 @@ func (s *ISource) Nodes() []NodeID { return []NodeID{s.plus, s.minus} }
 func (s *ISource) Stamp(ctx *StampContext) {
 	ctx.stampCurrent(s.minus, s.plus, s.I)
 }
+
+// stampRHS is Stamp: a current source has no matrix entries.
+func (s *ISource) stampRHS(ctx *StampContext) { s.Stamp(ctx) }

@@ -10,10 +10,12 @@ import "fmt"
 // results are bit-identical across all entry points and form the
 // golden contract of this repository.
 //
-// SparseFast freezes the linear device stamps (resistors, capacitor
-// companion models, sources, MOSFET parasitics and leakage) into a
-// base matrix once per Newton solve, re-stamps only the nonlinear
-// MOSFET channels per iteration, and factors over a precomputed
+// SparseFast stamps the linear devices (resistors, capacitor companion
+// models, sources, MOSFET parasitics and leakage) into a base matrix
+// that is kept across Newton solves while (Dt, Method) is unchanged
+// (only its right-hand side is restamped per solve), adds only the
+// nonlinear MOSFET channels per iteration at precomputed slots of a
+// packed value array, and factors that array over a precomputed
 // structural sparsity pattern with a static pivot order
 // (internal/la/sparse). It is numerically equivalent — solutions agree
 // to solver tolerance, delays to well under a picosecond — but NOT

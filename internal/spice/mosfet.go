@@ -112,12 +112,30 @@ func (m *MOSFET) Eval(vd, vg, vs float64) (i, gd, gg, gs float64) {
 // linearisation) and StampLinear (the iterate-independent leakage and
 // parasitic capacitances), called in exactly the historical accumulation
 // order so the dense golden path stays bit-identical. The sparse solver
-// calls the two halves separately: the linear half is frozen into a base
-// matrix once per Newton solve and only the channel is re-stamped per
-// iteration.
+// calls the two halves separately: the linear half goes into a base
+// matrix kept across Newton solves, and only the channel is re-stamped
+// per iteration (stampChannel, into packed values).
 func (m *MOSFET) Stamp(ctx *StampContext) {
 	m.StampNonlinear(ctx)
 	m.StampLinear(ctx)
+}
+
+// channel linearises the channel current at the iterate V: the
+// partials (gd, gg, gs) and the affine remainder ieq, a current leaving
+// the drain and entering the source.
+func (m *MOSFET) channel(V []float64) (gd, gg, gs, ieq float64) {
+	var vd, vg, vs float64
+	if i := nodeVar(m.d); i >= 0 {
+		vd = V[i]
+	}
+	if i := nodeVar(m.g); i >= 0 {
+		vg = V[i]
+	}
+	if i := nodeVar(m.s); i >= 0 {
+		vs = V[i]
+	}
+	i0, gd, gg, gs := m.Eval(vd, vg, vs)
+	return gd, gg, gs, i0 - gd*vd - gg*vg - gs*vs
 }
 
 // StampNonlinear stamps only the channel linearisation — the part of
@@ -131,19 +149,7 @@ func (m *MOSFET) Stamp(ctx *StampContext) {
 // independent float64 sums, are emitted in a different order.
 func (m *MOSFET) StampNonlinear(ctx *StampContext) {
 	iD, iG, iS := nodeVar(m.d), nodeVar(m.g), nodeVar(m.s)
-	V := ctx.V
-	var vd, vg, vs float64
-	if iD >= 0 {
-		vd = V[iD]
-	}
-	if iG >= 0 {
-		vg = V[iG]
-	}
-	if iS >= 0 {
-		vs = V[iS]
-	}
-
-	i0, gd, gg, gs := m.Eval(vd, vg, vs)
+	gd, gg, gs, ieq := m.channel(ctx.V)
 
 	data, nc := ctx.G.Data, ctx.G.Cols
 	var rowD, rowS []float64
@@ -174,13 +180,56 @@ func (m *MOSFET) StampNonlinear(ctx *StampContext) {
 		rowS[iS] -= gs
 	}
 	// Affine remainder as a current leaving the drain, entering the source.
-	ieq := i0 - gd*vd - gg*vg - gs*vs
 	rhs := ctx.RHS
 	if iD >= 0 {
 		rhs[iD] -= ieq
 	}
 	if iS >= 0 {
 		rhs[iS] += ieq
+	}
+}
+
+// channelSlots locates one MOSFET's channel stamp in the sparse
+// solver's packed values: the Jacobian slots StampNonlinear accumulates
+// into, in its order (drain row: drain, gate, source columns; then the
+// source row), and the drain and source RHS rows. -1 marks an entry
+// dropped because a terminal is ground.
+type channelSlots struct {
+	jac  [6]int32
+	d, s int32
+}
+
+// stampChannel is StampNonlinear over packed values: the same partials
+// accumulated in the same order into the precomputed slots, so every
+// structural position receives bit-identical sums.
+//
+//hybrid:noalloc
+func (m *MOSFET) stampChannel(vals, rhs, V []float64, sl *channelSlots) {
+	gd, gg, gs, ieq := m.channel(V)
+	j := &sl.jac
+	if j[0] >= 0 {
+		vals[j[0]] += gd
+	}
+	if j[1] >= 0 {
+		vals[j[1]] += gg
+	}
+	if j[2] >= 0 {
+		vals[j[2]] += gs
+	}
+	if j[3] >= 0 {
+		vals[j[3]] -= gd
+	}
+	if j[4] >= 0 {
+		vals[j[4]] -= gg
+	}
+	if j[5] >= 0 {
+		vals[j[5]] -= gs
+	}
+	if sl.d >= 0 {
+		rhs[sl.d] -= ieq
+	}
+	if sl.s >= 0 {
+		rhs[sl.s] += ieq
 	}
 }
 
@@ -215,6 +264,15 @@ func (m *MOSFET) StampLinear(ctx *StampContext) {
 	m.cgs.stampIdx(ctx, iG, iS, m.P.Cgs)
 	m.cgd.stampIdx(ctx, iG, iD, m.P.Cgd)
 	m.cdb.stampIdx(ctx, iD, -1, m.P.Cdb)
+}
+
+// stampRHS restamps only the right-hand side of StampLinear: the
+// parasitic capacitances' equivalent currents, in the same order.
+func (m *MOSFET) stampRHS(ctx *StampContext) {
+	iD, iG, iS := nodeVar(m.d), nodeVar(m.g), nodeVar(m.s)
+	m.cgs.stampRHSIdx(ctx, iG, iS, m.P.Cgs)
+	m.cgd.stampRHSIdx(ctx, iG, iD, m.P.Cgd)
+	m.cdb.stampRHSIdx(ctx, iD, -1, m.P.Cdb)
 }
 
 // Init implements Stateful.

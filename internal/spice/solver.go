@@ -59,11 +59,12 @@ type SolverStats struct {
 
 	// SparseFast-mode counters (zero on the dense golden path).
 	LinearReuses         int64 // iterations that reused the frozen linear stamp base
+	LinearBaseReuses     int64 // Newton solves that kept the previous solve's linear base matrix (same Dt and Method) and restamped only its RHS
 	SparseFactorizations int64 // factorizations done by the static-pivot sparse kernel
 	SparseFallbacks      int64 // sparse refactors abandoned to the dense kernel
 	SymbolicHits         int64 // symbolic analyses served from the shared cache
 	SymbolicMisses       int64 // symbolic analyses this solver had to run
-	Supernodes           int64 // multi-column supernodes in the adopted symbolics
+	Supernodes           int64 // always 0: the sparse kernel no longer partitions supernodes (kept for report compatibility)
 }
 
 // Add accumulates other into s, for aggregation across solvers.
@@ -74,6 +75,7 @@ func (s *SolverStats) Add(other SolverStats) {
 	s.Factorizations += other.Factorizations
 	s.Reused += other.Reused
 	s.LinearReuses += other.LinearReuses
+	s.LinearBaseReuses += other.LinearBaseReuses
 	s.SparseFactorizations += other.SparseFactorizations
 	s.SparseFallbacks += other.SparseFallbacks
 	s.SymbolicHits += other.SymbolicHits
@@ -158,11 +160,6 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	if s.mode == SparseFast && gmin == 0 && !gminStage && !s.ctx.DC {
 		return s.newtonSparse(v, opt)
 	}
-	// This dense solve factors ctx.G in place, leaving LU residue at
-	// positions outside the sparse pattern's touched set; the next
-	// sparse restamp must reset the workspace in full (every sparse
-	// transient's DC/gmin prelude runs through here).
-	s.sp.denseDirty = true
 	opt.defaults()
 	s.ensure()
 	c := s.c
@@ -314,6 +311,9 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 	}
 	s.mode = opt.Solver
 	s.sparsePivotRel = opt.SparsePivotRel
+	// Device values may have changed since the last transient: rebuild
+	// the sparse linear base on the first solve.
+	s.sp.linValid = false
 	span := opt.TStop - opt.TStart
 	if opt.MaxStep <= 0 {
 		opt.MaxStep = span / 50

@@ -62,35 +62,44 @@ func BenchmarkSolverTransientFresh(b *testing.B) {
 
 // BenchmarkSolverNewtonSparse is the SparseFast counterpart of
 // BenchmarkSolverNewton: one Newton solve in a warm workspace with the
-// frozen linear base and the static-pivot sparse refactor. Its
-// allocs/op is guarded by CI alongside the dense gate — the sparse
-// inner loop must not allocate either (the one-time symbolic analysis
-// happens before the timer starts).
+// kept linear base and the packed static-pivot refactor, on the
+// inverter and on an rca4-sized gate chain (n = 91). Its allocs/op is
+// guarded by CI alongside the dense gate — the sparse inner loop must
+// not allocate either (the one-time symbolic analysis happens before
+// the timer starts).
 func BenchmarkSolverNewtonSparse(b *testing.B) {
-	c, _ := inverterCircuit()
-	s, err := NewSolver(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op, err := s.OperatingPoint(0, NewtonOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.mode = SparseFast
-	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 10e-12, 10e-12, Trapezoidal, false
-	v := make([]float64, len(op))
-	// Warm-up solve performs the symbolic analysis.
-	copy(v, op)
-	if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(v, op)
-		if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
-			b.Fatal(err)
-		}
+	chain := func() (*Circuit, NodeID) { return gateChain(29) }
+	for _, bc := range []struct {
+		name  string
+		build func() (*Circuit, NodeID)
+	}{{"inverter", inverterCircuit}, {"chain-n91", chain}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, _ := bc.build()
+			s, err := NewSolver(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			op, err := s.OperatingPoint(0, NewtonOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.mode = SparseFast
+			s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 10e-12, 10e-12, Trapezoidal, false
+			v := make([]float64, len(op))
+			// Warm-up solve performs the symbolic analysis.
+			copy(v, op)
+			if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(v, op)
+				if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -26,6 +27,43 @@ func inverterCircuit() (*Circuit, NodeID) {
 	c.AddMOSFET("MN", out, in, Ground, np)
 	c.AddCapacitor("CL", out, Ground, 2e-15)
 	return c, out
+}
+
+// gateChain builds `stages` NAND2 + inverter pairs in series: stage i's
+// NAND takes the previous inverter's output and the shared input edge,
+// so the edge ripples down the whole chain. Every gate carries the
+// inverter's parasitics and a load capacitor. The MNA system has
+// 3*stages + 4 unknowns (three nodes per stage, vdd, in and two source
+// branches): 29 stages give n = 91, the size of the rca4 adder's bench.
+func gateChain(stages int) (*Circuit, NodeID) {
+	c := NewCircuit()
+	vdd := c.Node("vdd")
+	in := c.Node("in")
+	c.AddDCVSource("VDD", vdd, Ground, 0.8)
+	c.AddVSource("VIN", in, Ground, waveform.RaisedCosineEdge(1e-9, 1e-9, 0, 0.8))
+	pp := pmosParams()
+	pp.Cgs, pp.Cgd, pp.Cdb = 0.1e-15, 0.1e-15, 0.2e-15
+	np := nmosParams()
+	np.Cgs, np.Cgd, np.Cdb = 0.1e-15, 0.1e-15, 0.2e-15
+	// Leakage keeps the NAND stacks' internal nodes defined at DC
+	// while both series transistors are off.
+	pp.Gmin, np.Gmin = 1e-12, 1e-12
+	prev := vdd
+	for i := 0; i < stages; i++ {
+		y := c.Node(fmt.Sprintf("y%d", i))
+		m := c.Node(fmt.Sprintf("m%d", i))
+		z := c.Node(fmt.Sprintf("z%d", i))
+		c.AddMOSFET(fmt.Sprintf("MPA%d", i), y, prev, vdd, pp)
+		c.AddMOSFET(fmt.Sprintf("MPB%d", i), y, in, vdd, pp)
+		c.AddMOSFET(fmt.Sprintf("MNA%d", i), y, prev, m, np)
+		c.AddMOSFET(fmt.Sprintf("MNB%d", i), m, in, Ground, np)
+		c.AddMOSFET(fmt.Sprintf("MPI%d", i), z, y, vdd, pp)
+		c.AddMOSFET(fmt.Sprintf("MNI%d", i), z, y, Ground, np)
+		c.AddCapacitor(fmt.Sprintf("CY%d", i), y, Ground, 1e-15)
+		c.AddCapacitor(fmt.Sprintf("CZ%d", i), z, Ground, 1e-15)
+		prev = z
+	}
+	return c, prev
 }
 
 func inverterOptions() TransientOptions {

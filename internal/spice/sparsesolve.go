@@ -8,49 +8,61 @@ import (
 	"hybriddelay/internal/la/sparse"
 )
 
-// SplitStamper is a Device whose stamp separates into a part that is
-// constant across the iterations of one Newton solve (StampLinear) and
-// a part that depends on the current iterate (StampNonlinear). Calling
-// both in order must accumulate exactly what Stamp accumulates. The
-// sparse solver freezes the linear parts of all devices into a base
-// matrix once per solve and replays only the nonlinear parts per
-// iteration.
-type SplitStamper interface {
-	Device
-	StampLinear(ctx *StampContext)
-	StampNonlinear(ctx *StampContext)
+// rhsStamper is a linear device with a right-hand-side contribution
+// that can be restamped on its own, in the same accumulation order as
+// its full Stamp (for a MOSFET: as StampLinear). The sparse solver
+// keeps its linear base matrix across Newton solves of equal (Dt,
+// Method) and restamps only these.
+type rhsStamper interface {
+	stampRHS(ctx *StampContext)
 }
 
 // sparseState is the Solver's workspace for the SparseFast mode: the
-// structural stamp pattern, the linear/nonlinear device partition, the
-// frozen per-solve linear base, and the symbolic/numeric factorization
-// pair. Topology is fixed per solver, so everything but the symbolic
-// analysis is built exactly once.
+// structural stamp pattern and its device slot maps, the linear base
+// kept across Newton solves, the packed values the sparse kernel
+// factors, and the symbolic/numeric factorization pair. Topology is
+// fixed per solver, so everything but the symbolic analysis (and the
+// packed values sized by it) is built exactly once.
+//
+// Steady-state iterations never touch the dense workspace ctx.G: they
+// copy the linear base's packed values, add the MOSFET channel stamps
+// at precomputed slots and refactor the packed array. ctx.G is rebuilt
+// (restampSparse) only on the cold paths that need a dense matrix: the
+// Markowitz pilot of a (re-)analysis, the dense partial-pivot fallback,
+// and circuits holding devices without a packed stamp (nlDevs), whose
+// values are gathered from ctx.G.
 type sparseState struct {
 	built bool
 
-	pattern []int32 // dense offsets every device stamp can touch
+	// pattern lists the dense offsets every device stamp can touch, in
+	// discovery order; pattern[i] is packed slot i of every Symbolic
+	// analyzed over it (fill-in slots follow).
+	pattern []int32
 
-	linDevs   []Device       // wholly linear: stamped once per solve
-	splitDevs []SplitStamper // linear part frozen, nonlinear replayed
-	nlDevs    []Device       // unknown devices: re-stamped every iteration
+	linDevs []Device       // wholly linear: stamped into the base
+	mos     []*MOSFET      // linear half in the base, channel per iteration
+	chans   []channelSlots // packed channel slots, parallel to mos
+	rhsDevs []rhsStamper   // base devices with RHS terms, in base stamp order
+	nlDevs  []Device       // unknown devices: stamped densely every iteration
 
-	linG   *la.Matrix // frozen linear-base Jacobian
-	linRHS []float64  // frozen linear-base right-hand side
+	// Linear base: the Jacobian and RHS of every linear stamp (linDevs,
+	// then each MOSFET's StampLinear), and the Jacobian gathered into
+	// pattern slots. The matrix depends only on (Dt, Method) — capacitor
+	// companions' geq = c/Dt or 2c/Dt — so it is rebuilt only when they
+	// change (or a new transient starts); every Newton solve restamps
+	// the RHS, whose equivalent currents follow the committed state.
+	linG      *la.Matrix
+	linRHS    []float64
+	linVals   []float64
+	linValid  bool
+	linDt     float64
+	linMethod IntegrationMethod
 
 	sym   *sparse.Symbolic
 	num   *sparse.Numeric
-	gen   uint64 // cache generation sym was obtained under (see Refresh)
-	stale bool   // values drifted off the static pivot order: re-analyze
-
-	// denseDirty records that the dense kernel factored ctx.G in place
-	// (a pivot fallback here, or a dense-mode Newton solve on the same
-	// workspace), leaving LU residue at positions outside the touched
-	// set. The touched-only restore in restampSparse is then
-	// insufficient: a later dense fallback would consume the residue,
-	// and a re-analysis could schedule fill slots on top of it, so the
-	// next restamp resets the matrix in full.
-	denseDirty bool
+	vals  []float64 // packed Jacobian, factored in place (length sym.NNZ())
+	gen   uint64    // cache generation sym was obtained under (see Refresh)
+	stale bool      // values drifted off the static pivot order: re-analyze
 }
 
 // sharedSymCache is the process-wide symbolic-factorization cache:
@@ -113,17 +125,18 @@ func (s *Solver) resolveSymbolic() error {
 	if sym != sp.sym {
 		sp.sym = sym
 		sp.num = sym.NewNumeric()
-		s.stats.Supernodes += int64(sym.Supernodes())
+		sp.vals = make([]float64, sym.NNZ())
 	}
 	sp.gen = gen
 	sp.stale = false
 	return nil
 }
 
-// ensureSparse builds the structural pattern and device partition. The
-// pattern is derived from device topology, not stamped values: a
-// MOSFET in cutoff stamps numeric zeros at structurally live
-// positions, so value-based extraction would under-approximate.
+// ensureSparse builds the structural pattern, the device partition and
+// the MOSFET channel slot maps. The pattern is derived from device
+// topology, not stamped values: a MOSFET in cutoff stamps numeric zeros
+// at structurally live positions, so value-based extraction would
+// under-approximate.
 //
 //hybrid:alloc-ok one-time topology build, guarded by sp.built; never re-runs in the iteration loop
 func (s *Solver) ensureSparse() {
@@ -133,10 +146,13 @@ func (s *Solver) ensureSparse() {
 	}
 	c := s.c
 	n := c.unknowns()
-	seen := make([]bool, n*n)
+	slotOf := make([]int32, n*n)
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
 	add := func(i, j int) {
-		if i >= 0 && j >= 0 && !seen[i*n+j] {
-			seen[i*n+j] = true
+		if i >= 0 && j >= 0 && slotOf[i*n+j] < 0 {
+			slotOf[i*n+j] = int32(len(sp.pattern))
 			sp.pattern = append(sp.pattern, int32(i*n+j))
 		}
 	}
@@ -161,7 +177,7 @@ func (s *Solver) ensureSparse() {
 			// Channel partials cover rows {d,s} × cols {d,g,s}; gmin and
 			// cgs/cgd/cdb stay inside the {d,g,s} block as well.
 			nodeBlock(dev.Nodes())
-			sp.splitDevs = append(sp.splitDevs, dev)
+			sp.mos = append(sp.mos, dev)
 		case *Resistor:
 			nodeBlock(dev.Nodes())
 			sp.linDevs = append(sp.linDevs, dev)
@@ -186,39 +202,112 @@ func (s *Solver) ensureSparse() {
 			sp.nlDevs = append(sp.nlDevs, d)
 		}
 	}
+	slot := func(i, j int) int32 {
+		if i < 0 || j < 0 {
+			return -1
+		}
+		return slotOf[i*n+j]
+	}
+	for _, d := range sp.linDevs {
+		if r, ok := d.(rhsStamper); ok {
+			sp.rhsDevs = append(sp.rhsDevs, r)
+		}
+	}
+	for _, m := range sp.mos {
+		iD, iG, iS := nodeVar(m.d), nodeVar(m.g), nodeVar(m.s)
+		sp.chans = append(sp.chans, channelSlots{
+			jac: [6]int32{slot(iD, iD), slot(iD, iG), slot(iD, iS), slot(iS, iD), slot(iS, iG), slot(iS, iS)},
+			d:   int32(iD),
+			s:   int32(iS),
+		})
+		sp.rhsDevs = append(sp.rhsDevs, m)
+	}
 	sp.linG = la.NewMatrix(n, n)
 	sp.linRHS = make([]float64, n)
+	sp.linVals = make([]float64, len(sp.pattern))
 	sp.built = true
 }
 
-// restampSparse rebuilds the Jacobian and RHS for the current iterate
-// from the frozen linear base: structural positions are copied from
-// the base (fill slots are never stamped, so they come back as zeros)
-// and only the nonlinear stamps are replayed.
+// stampLinearBase prepares the linear base for one Newton solve. When
+// the previous solve ran at the same (Dt, Method), its matrix is kept
+// and only the RHS is restamped, device by device in base order;
+// otherwise the whole base is restamped and regathered into pattern
+// slots. capFresh makes the capacitor companion models recompute
+// geq/ieq for this step's (Dt, Method, state) either way; the cached
+// values are also what Commit consumes after acceptance, exactly as on
+// the dense path.
+func (s *Solver) stampLinearBase(v []float64) {
+	sp := &s.sp
+	ctx := &s.ctx
+	gSave, rhsSave := ctx.G, ctx.RHS
+	ctx.G, ctx.RHS = sp.linG, sp.linRHS
+	for i := range sp.linRHS {
+		sp.linRHS[i] = 0
+	}
+	ctx.V = v
+	ctx.capFresh = true
+	if sp.linValid && ctx.Dt == sp.linDt && ctx.Method == sp.linMethod {
+		for _, d := range sp.rhsDevs {
+			d.stampRHS(ctx)
+		}
+		s.stats.LinearBaseReuses++
+	} else {
+		for _, off := range sp.pattern {
+			sp.linG.Data[off] = 0
+		}
+		for _, d := range sp.linDevs {
+			d.Stamp(ctx)
+		}
+		for _, m := range sp.mos {
+			m.StampLinear(ctx)
+		}
+		for i, off := range sp.pattern {
+			sp.linVals[i] = sp.linG.Data[off]
+		}
+		sp.linValid, sp.linDt, sp.linMethod = true, ctx.Dt, ctx.Method
+	}
+	ctx.G, ctx.RHS = gSave, rhsSave
+}
+
+// stampPacked builds the packed Jacobian and the RHS for the iterate v:
+// the linear base's pattern slots, zeroed fill slots, and the MOSFET
+// channels stamped at their precomputed slots — per position the same
+// sums, in the same order, as restampSparse produces in ctx.G.
+//
+//hybrid:noalloc
+func (s *Solver) stampPacked(v []float64) {
+	sp := &s.sp
+	vals, rhs := sp.vals, s.ctx.RHS
+	copy(vals, sp.linVals)
+	fill := vals[len(sp.linVals):]
+	for i := range fill {
+		fill[i] = 0
+	}
+	copy(rhs, sp.linRHS)
+	for i, m := range sp.mos {
+		m.stampChannel(vals, rhs, v, &sp.chans[i])
+	}
+}
+
+// restampSparse rebuilds the dense workspace ctx.G and ctx.RHS for the
+// iterate v from the linear base, for the cold paths that need a dense
+// matrix (the symbolic pilot, the dense fallback, devices without a
+// packed stamp). The matrix is reset in full first: a dense
+// factorization leaves LU residue everywhere, and positions outside
+// the pattern must read as zeros to a later dense solve or re-analysis.
 func (s *Solver) restampSparse(v []float64, firstIter bool) {
 	sp := &s.sp
 	ctx := &s.ctx
-	g, rhs := ctx.G, ctx.RHS
-	if sp.sym != nil && !sp.denseDirty {
-		for _, off := range sp.sym.Touched() {
-			g.Data[off] = sp.linG.Data[off]
-		}
-	} else {
-		// No analysis yet, or the dense kernel polluted the workspace:
-		// the matrix may hold anything, reset fully. linG is zero
-		// outside the pattern, so copying pattern positions restores
-		// the complete clean state.
-		g.Zero()
-		for _, off := range sp.pattern {
-			g.Data[off] = sp.linG.Data[off]
-		}
-		sp.denseDirty = false
+	g := ctx.G
+	g.Zero()
+	for _, off := range sp.pattern {
+		g.Data[off] = sp.linG.Data[off]
 	}
-	copy(rhs, sp.linRHS)
+	copy(ctx.RHS, sp.linRHS)
 	ctx.V = v
 	ctx.capFresh = firstIter
-	for _, d := range sp.splitDevs {
-		d.StampNonlinear(ctx)
+	for _, m := range sp.mos {
+		m.StampNonlinear(ctx)
 	}
 	for _, d := range sp.nlDevs {
 		d.Stamp(ctx)
@@ -227,15 +316,15 @@ func (s *Solver) restampSparse(v []float64, firstIter bool) {
 
 // newtonSparse is the SparseFast Newton iteration for transient steps:
 // same damped update and convergence test as the dense reference, but
-// the linear device stamps are frozen once per solve and the linear
-// system is solved by the static-pivot sparse refactor, falling back
-// to the dense partial-pivot kernel (and scheduling a re-analysis)
-// when a scheduled pivot degrades.
+// the linear device stamps come from the kept linear base, the
+// iteration stamps and factors packed values with the static-pivot
+// sparse kernel, and a degraded scheduled pivot falls back to the
+// dense partial-pivot kernel (scheduling a re-analysis).
 //
 // Allocation-free in the steady state (the one-time topology build and
 // cold symbolic resolution are //hybrid:alloc-ok): enforced statically
 // by hybridlint's noalloc analyzer and dynamically by CI's -benchmem
-// gates on BenchmarkSolverNewton and BenchmarkSparseFactorSolve.
+// gates on BenchmarkSolverNewtonSparse and BenchmarkSparseFactorSolve.
 //
 //hybrid:noalloc
 func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
@@ -253,35 +342,18 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 		s.srcVals[i] = vs.Signal(ctx.Time)
 	}
 	ctx.srcVals = s.srcVals
-
-	// Freeze the linear base for this solve. capFresh makes the
-	// capacitor companion models recompute geq/ieq for this step's
-	// (Dt, Method, state) during the base stamp; the cached values are
-	// also what Commit consumes after acceptance, exactly as on the
-	// dense path.
-	gSave, rhsSave := ctx.G, ctx.RHS
-	ctx.G, ctx.RHS = sp.linG, sp.linRHS
-	for _, off := range sp.pattern {
-		sp.linG.Data[off] = 0
-	}
-	for i := range sp.linRHS {
-		sp.linRHS[i] = 0
-	}
-	ctx.V = v
-	ctx.capFresh = true
-	for _, d := range sp.linDevs {
-		d.Stamp(ctx)
-	}
-	for _, d := range sp.splitDevs {
-		d.StampLinear(ctx)
-	}
-	ctx.G, ctx.RHS = gSave, rhsSave
+	s.stampLinearBase(v)
 
 	xNew := s.xNew
 	for iter := 0; iter < opt.MaxIter; iter++ {
-		s.restampSparse(v, iter == 0)
 		if iter > 0 {
 			s.stats.LinearReuses++
+		}
+		// ctx.G holds this iterate's Jacobian only where a cold path
+		// needs it.
+		dense := sp.sym == nil || sp.stale || len(sp.nlDevs) > 0
+		if dense {
+			s.restampSparse(v, iter == 0)
 		}
 		if sp.sym == nil || sp.stale {
 			if err := s.resolveSymbolic(); err != nil && sp.sym == nil {
@@ -292,23 +364,26 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 		}
 		solved := false
 		if sp.sym != nil && !sp.stale {
-			if err := sp.num.FactorSolve(ctx.G, xNew, ctx.RHS); err == nil {
+			if dense {
+				sp.sym.Pack(sp.vals, ctx.G)
+			} else {
+				s.stampPacked(v)
+			}
+			if err := sp.num.FactorSolve(sp.vals, xNew, ctx.RHS); err == nil {
 				solved = true
 				s.stats.Factorizations++
 				s.stats.SparseFactorizations++
 			} else {
 				// Static pivot order no longer stable for these values:
-				// re-stamp (the failed refactor clobbered the matrix) and
 				// let dense partial pivoting finish this iteration.
 				s.stats.SparseFallbacks++
 				sp.stale = true
-				s.restampSparse(v, iter == 0)
 			}
 		}
 		if !solved {
-			// The in-place dense factorization overwrites the whole
-			// matrix, including positions outside the touched set.
-			sp.denseDirty = true
+			if !dense {
+				s.restampSparse(v, iter == 0)
+			}
 			if err := s.lu.FactorSolveInPlace(ctx.G, xNew, ctx.RHS); err != nil {
 				return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
 			}

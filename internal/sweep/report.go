@@ -11,44 +11,6 @@ import (
 	"hybriddelay/internal/eval"
 )
 
-// Ratio is a normalized deviation-area ratio that survives JSON: an
-// undefined ratio (zero inertial baseline, stored as NaN) encodes as
-// null instead of breaking the encoder, and decodes back to NaN.
-type Ratio float64
-
-// IsDefined reports whether the ratio has a defined value.
-func (r Ratio) IsDefined() bool { return !math.IsNaN(float64(r)) }
-
-// MarshalJSON implements json.Marshaler.
-func (r Ratio) MarshalJSON() ([]byte, error) {
-	if !r.IsDefined() {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(r))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Ratio) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*r = Ratio(math.NaN())
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*r = Ratio(v)
-	return nil
-}
-
-// csv renders the ratio for the CSV encoder ("NaN" when undefined).
-func (r Ratio) csv() string {
-	if !r.IsDefined() {
-		return "NaN"
-	}
-	return strconv.FormatFloat(float64(r), 'g', -1, 64)
-}
-
 // ScenarioResult is one report row: the scenario's grid coordinates and
 // its aggregated accuracy, cache and timing statistics.
 type ScenarioResult struct {
@@ -64,7 +26,7 @@ type ScenarioResult struct {
 
 	// Normalized holds area / inertial area per model (the Fig. 7
 	// bars); null/NaN when the inertial baseline is zero.
-	Normalized map[string]Ratio `json:"normalized"`
+	Normalized map[string]eval.Ratio `json:"normalized"`
 
 	GoldenEvents int `json:"golden_events"`
 
@@ -148,9 +110,9 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		for _, name := range r.ModelNames {
 			ratio, ok := s.Normalized[name]
 			if !ok {
-				ratio = Ratio(math.NaN())
+				ratio = eval.Ratio(math.NaN())
 			}
-			cols = append(cols, ratio.csv())
+			cols = append(cols, g(float64(ratio)))
 		}
 		cols = append(cols,
 			strconv.Itoa(s.GoldenEvents),

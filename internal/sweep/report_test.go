@@ -13,12 +13,12 @@ import (
 
 func TestRatioJSONRoundTrip(t *testing.T) {
 	cases := []struct {
-		in   Ratio
+		in   eval.Ratio
 		want string
 	}{
-		{Ratio(0.5), "0.5"},
-		{Ratio(1), "1"},
-		{Ratio(math.NaN()), "null"},
+		{eval.Ratio(0.5), "0.5"},
+		{eval.Ratio(1), "1"},
+		{eval.Ratio(math.NaN()), "null"},
 	}
 	for _, tc := range cases {
 		b, err := json.Marshal(tc.in)
@@ -28,7 +28,7 @@ func TestRatioJSONRoundTrip(t *testing.T) {
 		if string(b) != tc.want {
 			t.Errorf("marshal %v = %s, want %s", tc.in, b, tc.want)
 		}
-		var back Ratio
+		var back eval.Ratio
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatalf("unmarshal %s: %v", b, err)
 		}
@@ -51,14 +51,14 @@ func sampleReport() *Report {
 			{
 				Index: 0, Gate: "nor2", VDDScale: 1, LoadScale: 1,
 				Mode: "LOCAL", MuPs: 100, SigmaPs: 50, Transitions: 24, Seeds: 2,
-				Normalized:   map[string]Ratio{"inertial": 1, "hm": Ratio(0.25)},
+				Normalized:   map[string]eval.Ratio{"inertial": 1, "hm": eval.Ratio(0.25)},
 				GoldenEvents: 12, WorstSeed: 2, WorstSeedArea: 3e-12,
 				CacheHits: 1, CacheMisses: 1, HitRate: 0.5, WallSeconds: 1.25,
 			},
 			{
 				Index: 1, Gate: "nand2", VDDScale: 0.9, LoadScale: 2,
 				Mode: "GLOBAL", MuPs: 2000, SigmaPs: 1000, Transitions: 24, Seeds: 2,
-				Normalized:   map[string]Ratio{"inertial": Ratio(math.NaN()), "hm": Ratio(math.NaN())},
+				Normalized:   map[string]eval.Ratio{"inertial": eval.Ratio(math.NaN()), "hm": eval.Ratio(math.NaN())},
 				GoldenEvents: 0, WorstSeed: 1, WorstSeedArea: 0,
 				CacheHits: 0, CacheMisses: 2, HitRate: 0, WallSeconds: 0.5,
 			},

@@ -705,7 +705,7 @@ func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedRe
 		SigmaPs:      sc.Stimulus.Sigma / waveform.Pico,
 		Transitions:  sc.Stimulus.Transitions,
 		Seeds:        len(parts),
-		Normalized:   map[string]Ratio{},
+		Normalized:   map[string]eval.Ratio{},
 		GoldenEvents: merged.GoldenEv,
 		CacheHits:    hits,
 		CacheMisses:  misses,
@@ -713,7 +713,7 @@ func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedRe
 	}
 	//hybrid:nondet-ok map-to-map copy with distinct keys; the report JSON/CSV encoders emit models in sorted/declared order
 	for name, v := range merged.Normalized {
-		res.Normalized[name] = Ratio(v)
+		res.Normalized[name] = eval.Ratio(v)
 	}
 	if lookups := hits + misses; lookups > 0 {
 		res.HitRate = float64(hits) / float64(lookups)

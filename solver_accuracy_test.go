@@ -158,8 +158,8 @@ func TestSparseSolverAccuracyC17(t *testing.T) {
 
 // TestSparseSolverAccuracyAdder runs the accuracy gate on the 2-bit
 // ripple-carry adder: a deeper carry-chain topology (18 NAND2 gates)
-// whose MNA system actually merges supernodes, so the blocked sparse
-// kernel is on the path being gated.
+// whose MNA system carries real fill-in, so a long slot schedule is on
+// the path being gated.
 func TestSparseSolverAccuracyAdder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog transients; skipped in -short mode")
