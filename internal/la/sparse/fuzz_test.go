@@ -67,13 +67,6 @@ func FuzzFactorSolve(f *testing.F) {
 		0, 0, 0, 1, 0, 33, 1,
 		1, 0, 1, 0, 1, 1, 250,
 		1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{5,
-		255, 1, 1, 1, 1,
-		1, 255, 1, 1, 1,
-		1, 1, 255, 1, 1,
-		1, 1, 1, 255, 1,
-		1, 1, 1, 1, 255,
-		1, 2, 3, 4, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, pattern, b, ok := decodeSystem(data)
 		if !ok {
@@ -100,22 +93,57 @@ func FuzzFactorSolve(f *testing.F) {
 				t.Fatalf("x[%d] = %g, dense %g (diff %g)", i, x[i], want[i], d)
 			}
 		}
-		if err := compareWithReference(sym, a, b); err != nil {
-			t.Fatalf("pilot values: %v", err)
-		}
-		drift := a.Clone()
-		for i, off := range pattern {
-			switch i % 5 {
-			case 0:
-				drift.Data[off] = 0
-			case 1:
-				drift.Data[off] *= -1.5
-			case 2:
-				drift.Data[off] *= 1e-6
-			}
-		}
-		if err := compareWithReference(sym, drift, b); err != nil {
-			t.Fatalf("drifted values: %v", err)
-		}
+		checkPilotAndDrift(t, sym, a, pattern, b)
 	})
+}
+
+// FuzzSupernodeBlocked fuzzes the packed kernel's bit identity with
+// the dense scalar reference alone, on a dominant 5x5 block besides the
+// small shared seed. The name is kept from the supernodal blocked
+// kernel that the packed slot kernel replaced.
+func FuzzSupernodeBlocked(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{5,
+		255, 1, 1, 1, 1,
+		1, 255, 1, 1, 1,
+		1, 1, 255, 1, 1,
+		1, 1, 1, 255, 1,
+		1, 1, 1, 1, 255,
+		1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, pattern, b, ok := decodeSystem(data)
+		if !ok {
+			return
+		}
+		sym, err := Analyze(a, pattern, Options{})
+		if err != nil {
+			t.Fatalf("Analyze failed on dominant system: %v", err)
+		}
+		checkPilotAndDrift(t, sym, a, pattern, b)
+	})
+}
+
+// checkPilotAndDrift compares the packed kernel bit for bit with the
+// dense scalar reference on the pilot values a, then again after a
+// deterministic drift of the pattern's values that can create zero
+// multipliers and degraded pivots.
+func checkPilotAndDrift(t *testing.T, sym *Symbolic, a *la.Matrix, pattern []int32, b []float64) {
+	t.Helper()
+	if err := compareWithReference(sym, a, b); err != nil {
+		t.Fatalf("pilot values: %v", err)
+	}
+	drift := a.Clone()
+	for i, off := range pattern {
+		switch i % 5 {
+		case 0:
+			drift.Data[off] = 0
+		case 1:
+			drift.Data[off] *= -1.5
+		case 2:
+			drift.Data[off] *= 1e-6
+		}
+	}
+	if err := compareWithReference(sym, drift, b); err != nil {
+		t.Fatalf("drifted values: %v", err)
+	}
 }
